@@ -35,6 +35,10 @@ def _check_bit(value: int, name: str) -> int:
     return int(value)
 
 
+def _check_bits(**bits: int) -> tuple[int, ...]:
+    return tuple(_check_bit(value, name) for name, value in bits.items())
+
+
 def _check_eps(eps: float) -> float:
     eps = float(eps)
     if not eps > 0.0:
@@ -64,14 +68,7 @@ class BoxTable:
         object.__setattr__(self, "p", arr)
 
     def prob(self, x: int, y: int, a: int, b: int) -> float:
-        return float(
-            self.p[
-                _check_bit(x, "x"),
-                _check_bit(y, "y"),
-                _check_bit(a, "a"),
-                _check_bit(b, "b"),
-            ]
-        )
+        return float(self.p[_check_bits(x=x, y=y, a=a, b=b)])
 
     def relabel(self, label: str) -> BoxTable:
         return BoxTable(self.p, label)
@@ -93,9 +90,13 @@ class BoxTable:
         if "p" not in data:
             raise BoxFormatError("missing entry table 'p'")
         try:
-            arr = np.array(data["p"], dtype=float)
+            arr = np.asarray(data["p"])
         except (TypeError, ValueError) as exc:
             raise BoxFormatError(f"entry table is not numeric: {exc}") from None
+        if arr.dtype.kind not in "iuf":
+            raise BoxFormatError(
+                f"entry table must hold JSON numbers, got dtype {arr.dtype}"
+            )
         if arr.shape != (2, 2, 2, 2):
             raise BoxFormatError(
                 f"entry table must be nested [x][y][a][b] with two values per "
@@ -115,7 +116,8 @@ class ValidationIssue:
     """One violated table invariant.
 
     ``kind`` is ``"normalization"`` (value = the offending setting-pair sum,
-    a and b are None) or ``"range"`` (value = the out-of-range entry).
+    a and b are None), ``"range"`` (value = the out-of-range entry) or
+    ``"non_finite"`` (value = the NaN or infinite entry).
     """
 
     kind: str
@@ -128,8 +130,9 @@ class ValidationIssue:
     def __str__(self) -> str:
         if self.kind == "normalization":
             return f"normalization violated at (x={self.x}, y={self.y}): sum={self.value}"
+        what = "entry out of [0, 1]" if self.kind == "range" else "non-finite entry"
         return (
-            f"entry out of [0, 1] at (x={self.x}, y={self.y}, a={self.a}, "
+            f"{what} at (x={self.x}, y={self.y}, a={self.a}, "
             f"b={self.b}): {self.value}"
         )
 
@@ -147,19 +150,29 @@ def validate(t: BoxTable, eps: float = DEFAULT_EPS) -> ValidationResult:
     """Check normalization per setting pair and entrywise range.
 
     Returns a verdict rather than raising: every setting pair must sum to 1
-    within ``eps`` and every entry must lie in [0, 1] within ``eps``.
+    within ``eps`` and every entry must be finite and lie in [0, 1] within
+    ``eps``.  Issues come in (x, y, a, b) order, normalization first.
     """
     eps = _check_eps(eps)
-    issues: list[ValidationIssue] = []
-    for x, y in np.ndindex(2, 2):
-        total = float(t.p[x, y].sum())
-        if abs(total - 1.0) > eps:
-            issues.append(ValidationIssue("normalization", x, y, None, None, total))
-    for x, y, a, b in np.ndindex(2, 2, 2, 2):
-        value = float(t.p[x, y, a, b])
-        if value < -eps or value > 1.0 + eps:
-            issues.append(ValidationIssue("range", x, y, a, b, value))
+    totals = t.p.sum(axis=(2, 3))
+    issues = [
+        ValidationIssue("normalization", int(x), int(y), None, None, float(totals[x, y]))
+        for x, y in np.argwhere(np.abs(totals - 1.0) > eps)
+    ]
+    finite = np.isfinite(t.p)
+    for x, y, a, b in np.argwhere(~finite | (t.p < -eps) | (t.p > 1.0 + eps)):
+        kind = "range" if finite[x, y, a, b] else "non_finite"
+        issues.append(
+            ValidationIssue(kind, int(x), int(y), int(a), int(b), float(t.p[x, y, a, b]))
+        )
     return ValidationResult(tuple(issues))
+
+
+# Cells allowed by the PR relation (a + b) mod 2 = x*y.
+_PR_SUPPORT = np.fromfunction(
+    lambda x, y, a, b: (a + b) % 2 == x * y, (2, 2, 2, 2), dtype=int
+)
+_PR_SUPPORT.setflags(write=False)
 
 
 def pr_box() -> BoxTable:
@@ -169,11 +182,7 @@ def pr_box() -> BoxTable:
     two satisfying outcome pairs is the unique no-signaling completion and is
     what the equal-weight hidden-variable average reproduces.
     """
-    p = np.zeros((2, 2, 2, 2))
-    for x, y, a, b in np.ndindex(2, 2, 2, 2):
-        if (a + b) % 2 == x * y:
-            p[x, y, a, b] = 0.5
-    return BoxTable(p, "pr")
+    return BoxTable(np.where(_PR_SUPPORT, 0.5, 0.0), "pr")
 
 
 def deterministic_local_box(f: Sequence[int], g: Sequence[int]) -> BoxTable:
@@ -210,7 +219,7 @@ def convex_mix(
 ) -> BoxTable:
     """Entrywise weighted average of valid boxes.
 
-    Weights must be nonnegative and sum to 1 within ``eps``.
+    Weights must be finite, nonnegative and sum to 1 within ``eps``.
     """
     eps = _check_eps(eps)
     if len(boxes) == 0:
@@ -220,6 +229,8 @@ def convex_mix(
             f"got {len(boxes)} boxes but {len(weights)} weights"
         )
     w = np.asarray(weights, dtype=float)
+    if not np.all(np.isfinite(w)):
+        raise ValueError(f"weights must be finite, got {w.tolist()}")
     if np.any(w < -eps):
         raise ValueError(f"weights must be nonnegative, got {w.min()}")
     total = float(w.sum())
@@ -235,18 +246,19 @@ def convex_mix(
     return BoxTable(p, label)
 
 
+def _swap(t: BoxTable) -> BoxTable:
+    """The party-swapped table: x<->y and a<->b, so B's quantities become A's."""
+    return BoxTable(t.p.transpose(1, 0, 3, 2), t.label)
+
+
 def marginal_a(t: BoxTable, x: int, y: int, a: int) -> float:
     """P(A=a | x, y), summing the joint table over b."""
-    return float(
-        t.p[_check_bit(x, "x"), _check_bit(y, "y"), _check_bit(a, "a"), :].sum()
-    )
+    return float(t.p[_check_bits(x=x, y=y, a=a)].sum())
 
 
 def marginal_b(t: BoxTable, x: int, y: int, b: int) -> float:
-    """P(B=b | x, y), summing the joint table over a."""
-    return float(
-        t.p[_check_bit(x, "x"), _check_bit(y, "y"), :, _check_bit(b, "b")].sum()
-    )
+    """P(B=b | x, y): :func:`marginal_a` of the party-swapped table."""
+    return marginal_a(_swap(t), *_check_bits(y=y, x=x, b=b))
 
 
 def conditional(
@@ -267,21 +279,14 @@ def conditional(
 def conditional_b(
     t: BoxTable, x: int, y: int, a: int, b: int, eps: float = DEFAULT_EPS
 ) -> float | None:
-    """P(B=b | x, y; A=a), the twin of :func:`conditional` for party B."""
-    ma = marginal_a(t, x, y, a)
-    if ma <= _check_eps(eps):
-        return None
-    return t.prob(x, y, a, b) / ma
+    """P(B=b | x, y; A=a): :func:`conditional` of the party-swapped table."""
+    return conditional(_swap(t), *_check_bits(y=y, x=x, b=b, a=a), eps)
 
 
 def pr_constraint_holds(t: BoxTable, eps: float = DEFAULT_EPS) -> bool:
     """True iff every cell with probability above ``eps`` satisfies
     (a + b) mod 2 = x*y."""
-    eps = _check_eps(eps)
-    for x, y, a, b in np.ndindex(2, 2, 2, 2):
-        if t.p[x, y, a, b] > eps and (a + b) % 2 != x * y:
-            return False
-    return True
+    return not np.any((t.p > _check_eps(eps)) & ~_PR_SUPPORT)
 
 
 def to_json(t: BoxTable) -> str:

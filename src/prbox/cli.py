@@ -2,9 +2,10 @@
 
 Subcommands: build, analyze, chsh, table1, sample, sweep.  JSON is the
 default output; CSV is offered where the data is tabular (table1, sample
-counts, sample records).  Exit codes: 0 success, 2 box-spec grammar error
-or unknown constructor (argparse usage errors also exit 2), 3 semantic
-validation failure, 4 file I/O failure.
+counts, sample records), so only table1 and sample take ``--format``.
+Exit codes: 0 success, 2 box-spec grammar error or unknown constructor
+(argparse usage errors also exit 2), 3 semantic validation failure,
+including any NaN or infinite number, 4 file I/O failure.
 
 Box-spec grammar::
 
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .box import (
@@ -144,7 +146,8 @@ def as_box(obj: BoxTable | HVModel) -> BoxTable:
 
 
 def _json_dumps(obj: object) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    """Standard JSON only: a NaN or infinity raises ValueError (exit 3)."""
+    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
 
 def _cmd_build(args: argparse.Namespace) -> str:
@@ -177,7 +180,7 @@ def _cmd_table1(args: argparse.Namespace) -> str:
 def _cmd_sample(args: argparse.Namespace) -> str:
     obj = parse_box_spec(args.box, args.eps)
     if args.records:
-        if args.format_was_explicit and args.format == "json":
+        if args.format == "json":
             raise BoxSpecError("record dumps are CSV only; drop --format json")
         if isinstance(obj, HVModel):
             return records_to_csv(sample_hv_records(obj, args.trials, args.seed))
@@ -208,6 +211,8 @@ def _parse_grid(text: str) -> list[float]:
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         raise ValueError(f"grid must be numeric start:stop:step, got {text!r}") from None
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise ValueError(f"grid must be finite, got {text!r}")
     if step <= 0:
         raise ValueError(f"grid step must be positive, got {step}")
     values = []
@@ -236,48 +241,53 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, box_required: bool = True) -> None:
-        if box_required:
-            p.add_argument("--box", required=True, help="box spec (see module help)")
+    def add_box(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--box", required=True, help="box spec (see module help)")
         p.add_argument("--eps", type=float, default=DEFAULT_EPS,
                        help="comparison tolerance (default 1e-9)")
-        p.add_argument("--format", choices=("json", "csv"), default=None,
-                       help="output format")
+
+    def add_output(p: argparse.ArgumentParser, formats: bool = False) -> None:
+        if formats:
+            p.add_argument("--format", choices=("json", "csv"), default=None,
+                           help="output format")
         p.add_argument("-o", "--output", default=None, help="write output to a file")
 
     p_build = sub.add_parser("build", help="construct a box and emit its JSON")
-    add_common(p_build)
-    p_build.set_defaults(handler=_cmd_build, default_format="json")
+    add_box(p_build)
+    add_output(p_build)
+    p_build.set_defaults(handler=_cmd_build)
 
     p_analyze = sub.add_parser("analyze", help="run all locality analyses")
-    add_common(p_analyze)
-    p_analyze.set_defaults(handler=_cmd_analyze, default_format="json")
+    add_box(p_analyze)
+    add_output(p_analyze)
+    p_analyze.set_defaults(handler=_cmd_analyze)
 
     p_chsh = sub.add_parser("chsh", help="correlations and CHSH combination")
-    add_common(p_chsh)
-    p_chsh.set_defaults(handler=_cmd_chsh, default_format="json")
+    add_box(p_chsh)
+    add_output(p_chsh)
+    p_chsh.set_defaults(handler=_cmd_chsh)
 
     p_table1 = sub.add_parser("table1", help="hidden-variable truth table")
-    add_common(p_table1, box_required=False)
-    p_table1.set_defaults(handler=_cmd_table1, default_format="csv")
+    add_output(p_table1, formats=True)
+    p_table1.set_defaults(handler=_cmd_table1)
 
     p_sample = sub.add_parser("sample", help="seeded Monte Carlo sampling")
-    add_common(p_sample)
+    add_box(p_sample)
+    add_output(p_sample, formats=True)
     p_sample.add_argument("--seed", type=int, required=True, help="stream seed")
     p_sample.add_argument("--trials", type=int, required=True,
                           help="trials per setting pair")
     p_sample.add_argument("--records", action="store_true",
                           help="dump per-trial records (CSV only)")
-    p_sample.set_defaults(handler=_cmd_sample, default_format="json")
+    p_sample.set_defaults(handler=_cmd_sample)
 
     p_sweep = sub.add_parser("sweep", help="hidden-variable distribution sweep")
     p_sweep.add_argument("--grid", required=True,
                          help="p0 grid as start:stop:step")
     p_sweep.add_argument("--eps", type=float, default=DEFAULT_EPS,
                          help="comparison tolerance (default 1e-9)")
-    p_sweep.add_argument("--format", choices=("json", "csv"), default=None)
-    p_sweep.add_argument("-o", "--output", default=None)
-    p_sweep.set_defaults(handler=_cmd_sweep, default_format="json")
+    add_output(p_sweep)
+    p_sweep.set_defaults(handler=_cmd_sweep)
 
     return parser
 
@@ -293,14 +303,9 @@ def _emit(text: str, output: str | None) -> None:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    args.format_was_explicit = args.format is not None
-    if args.format is None:
-        args.format = args.default_format
     try:
-        if not args.eps > 0:
+        if "eps" in args and not args.eps > 0:
             raise ValueError(f"--eps must be positive, got {args.eps}")
-        if args.command in ("build", "analyze", "chsh", "sweep") and args.format == "csv":
-            raise BoxSpecError(f"{args.command} output is JSON only")
         text = args.handler(args)
         _emit(text, args.output)
     except BoxSpecError as exc:

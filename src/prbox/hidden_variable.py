@@ -13,6 +13,7 @@ rather than hides.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -43,6 +44,10 @@ class LambdaDist:
     p1: float
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.p0) and math.isfinite(self.p1)):
+            raise ValueError(
+                f"lambda probabilities must be finite, got ({self.p0}, {self.p1})"
+            )
         if self.p0 < -DEFAULT_EPS or self.p1 < -DEFAULT_EPS:
             raise ValueError(
                 f"lambda probabilities must be nonnegative, got ({self.p0}, {self.p1})"

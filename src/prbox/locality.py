@@ -26,23 +26,21 @@ does not enter the comparison holds -1.  ``Witness.side`` ("A", "B", or
 "AB" for joint-vs-product comparisons) records which party's quantity was
 compared so any stored row can be recomputed exactly; it is metadata and
 is not serialized.
+
+Party swap: exchanging x<->y and a<->b turns party B into party A, so each
+check is written once, for A, over the whole (2, 2, 2, 2) array.  A B-side
+witness is the A-side witness of the swapped table with its cell mapped
+back by (x, y, a, b) -> (y, x, b, a), which also moves the -1 slot.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .box import (
-    DEFAULT_EPS,
-    BoxTable,
-    _check_eps,
-    conditional,
-    conditional_b,
-    marginal_a,
-    marginal_b,
-)
+from .box import DEFAULT_EPS, BoxTable, _check_eps, _swap
 
 
 @dataclass(frozen=True)
@@ -83,6 +81,31 @@ class Verdict:
         }
 
 
+def _sides(t: BoxTable) -> Iterator[tuple[np.ndarray, str, Callable[..., tuple]]]:
+    """(table, side, index map) for party A, then for party B as party A of
+    the swapped table, whose cells map back by (x, y, a, b) -> (y, x, b, a)."""
+    yield t.p, "A", lambda x, y, a, b: (x, y, a, b)
+    yield _swap(t).p, "B", lambda x, y, a, b: (y, x, b, a)
+
+
+def _conditional(p: np.ndarray, eps: float) -> np.ndarray:
+    """P(A=a | x, y; B=b) at every cell; NaN where P(B=b | x, y) <= eps."""
+    mb = p.sum(2, keepdims=True)
+    return np.divide(p, mb, out=np.full_like(p, np.nan), where=mb > eps)
+
+
+def _hits(
+    lhs: np.ndarray, rhs: np.ndarray, eps: float, key: Callable[..., tuple], side: str
+) -> list[Witness]:
+    """A witness at each index where lhs and rhs differ by more than eps;
+    ``key`` maps the index to the witness cell.  NaN cells never hit."""
+    lhs, rhs = np.broadcast_arrays(lhs, rhs)
+    return [
+        Witness(*key(*(int(i) for i in index)), float(lhs[index]), float(rhs[index]), side)
+        for index in zip(*np.nonzero(np.abs(lhs - rhs) > eps))
+    ]
+
+
 def no_signaling(t: BoxTable, eps: float = DEFAULT_EPS) -> Verdict:
     """Marginals of each party must not depend on the other party's setting.
 
@@ -91,18 +114,9 @@ def no_signaling(t: BoxTable, eps: float = DEFAULT_EPS) -> Verdict:
     """
     eps = _check_eps(eps)
     witnesses: list[Witness] = []
-    for x in (0, 1):
-        for a in (0, 1):
-            lhs = marginal_a(t, x, 0, a)
-            rhs = marginal_a(t, x, 1, a)
-            if abs(lhs - rhs) > eps:
-                witnesses.append(Witness(x, 0, a, -1, lhs, rhs, side="A"))
-    for y in (0, 1):
-        for b in (0, 1):
-            lhs = marginal_b(t, 0, y, b)
-            rhs = marginal_b(t, 1, y, b)
-            if abs(lhs - rhs) > eps:
-                witnesses.append(Witness(0, y, -1, b, lhs, rhs, side="B"))
+    for p, side, cell in _sides(t):
+        ma = p.sum(3)
+        witnesses += _hits(ma[:, 0], ma[:, 1], eps, lambda x, a: cell(x, 0, a, -1), side)
     return Verdict(not witnesses, _ordered(witnesses))
 
 
@@ -123,17 +137,8 @@ def outcome_independence(t: BoxTable, eps: float = DEFAULT_EPS) -> Verdict:
     """
     eps = _check_eps(eps)
     witnesses: list[Witness] = []
-    for x, y, a, b in np.ndindex(2, 2, 2, 2):
-        cond_a = conditional(t, x, y, a, b, eps)
-        if cond_a is not None:
-            marg = marginal_a(t, x, y, a)
-            if abs(cond_a - marg) > eps:
-                witnesses.append(Witness(x, y, a, b, cond_a, marg, side="A"))
-        cond_b = conditional_b(t, x, y, a, b, eps)
-        if cond_b is not None:
-            marg = marginal_b(t, x, y, b)
-            if abs(cond_b - marg) > eps:
-                witnesses.append(Witness(x, y, a, b, cond_b, marg, side="B"))
+    for p, side, cell in _sides(t):
+        witnesses += _hits(_conditional(p, eps), p.sum(3, keepdims=True), eps, cell, side)
     return Verdict(not witnesses, _ordered(witnesses))
 
 
@@ -146,15 +151,15 @@ def bell_factorizable(t: BoxTable, eps: float = DEFAULT_EPS) -> Verdict:
     marginal_b(0, y, b).
     """
     eps = _check_eps(eps)
-    ns = no_signaling(t, eps)
+    return _factorizable(t, eps, no_signaling(t, eps))
+
+
+def _factorizable(t: BoxTable, eps: float, ns: Verdict) -> Verdict:
     if not ns.holds:
         return Verdict(False, ns.witnesses)
-    witnesses: list[Witness] = []
-    for x, y, a, b in np.ndindex(2, 2, 2, 2):
-        joint = t.prob(x, y, a, b)
-        product = marginal_a(t, x, 0, a) * marginal_b(t, 0, y, b)
-        if abs(joint - product) > eps:
-            witnesses.append(Witness(x, y, a, b, joint, product, side="AB"))
+    ma, mb = t.p.sum(3)[:, 0], t.p.sum(2)[0]
+    product = ma[:, None, :, None] * mb[None, :, None, :]
+    witnesses = _hits(t.p, product, eps, lambda *cell: cell, "AB")
     return Verdict(not witnesses, _ordered(witnesses))
 
 
@@ -169,16 +174,9 @@ def conditioned_dependence(t: BoxTable, eps: float = DEFAULT_EPS) -> Verdict:
     """
     eps = _check_eps(eps)
     witnesses: list[Witness] = []
-    for x, a, b in np.ndindex(2, 2, 2):
-        lhs = conditional(t, x, 0, a, b, eps)
-        rhs = conditional(t, x, 1, a, b, eps)
-        if lhs is not None and rhs is not None and abs(lhs - rhs) > eps:
-            witnesses.append(Witness(x, 0, a, b, lhs, rhs, side="A"))
-    for y, a, b in np.ndindex(2, 2, 2):
-        lhs = conditional_b(t, 0, y, a, b, eps)
-        rhs = conditional_b(t, 1, y, a, b, eps)
-        if lhs is not None and rhs is not None and abs(lhs - rhs) > eps:
-            witnesses.append(Witness(0, y, a, b, lhs, rhs, side="B"))
+    for p, side, cell in _sides(t):
+        c = _conditional(p, eps)
+        witnesses += _hits(c[:, 0], c[:, 1], eps, lambda x, a, b: cell(x, 0, a, b), side)
     return Verdict(not witnesses, _ordered(witnesses))
 
 
@@ -203,11 +201,13 @@ class LocalityReport:
 
 
 def locality_report(t: BoxTable, eps: float = DEFAULT_EPS) -> LocalityReport:
-    """Run all five analyses on one table."""
+    """Run all five analyses on one table, checking no-signaling once."""
+    eps = _check_eps(eps)
+    ns = no_signaling(t, eps)
     return LocalityReport(
-        no_signaling=no_signaling(t, eps),
+        no_signaling=ns,
         outcome_independence=outcome_independence(t, eps),
-        parameter_independence=parameter_independence(t, eps),
-        bell_factorizable=bell_factorizable(t, eps),
+        parameter_independence=ns,
+        bell_factorizable=_factorizable(t, eps, ns),
         conditioned_parameter_dependence=conditioned_dependence(t, eps),
     )

@@ -56,6 +56,32 @@ class TestValidate:
         assert (range_issue.x, range_issue.y, range_issue.a, range_issue.b) == (1, 0, 1, 1)
         assert range_issue.value == pytest.approx(-0.1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_reported(self, bad):
+        p = pr_box().p.copy()
+        p[1, 1, 0, 1] = bad
+        result = validate(BoxTable(p))
+        assert not result.ok
+        issue = [i for i in result.issues if i.kind == "non_finite"]
+        assert len(issue) == 1
+        assert (issue[0].x, issue[0].y, issue[0].a, issue[0].b) == (1, 1, 0, 1)
+        assert "non-finite entry at (x=1, y=1, a=0, b=1)" in str(issue[0])
+        assert not any(i.kind == "range" for i in result.issues)
+
+    def test_issue_order_normalization_then_cells(self):
+        p = np.full((2, 2, 2, 2), 0.25)
+        p[1, 1, 1, 0] = 1.5
+        p[0, 1, 0, 0] = np.nan
+        p[1, 0, 0, 1] = -0.5
+        kinds = [(i.kind, i.x, i.y, i.a, i.b) for i in validate(BoxTable(p)).issues]
+        assert kinds == [
+            ("normalization", 1, 0, None, None),
+            ("normalization", 1, 1, None, None),
+            ("non_finite", 0, 1, 0, 0),
+            ("range", 1, 0, 0, 1),
+            ("range", 1, 1, 1, 0),
+        ]
+
     def test_bad_shape_rejected_at_construction(self):
         with pytest.raises(BoxFormatError):
             BoxTable(np.zeros((2, 2, 2)))
@@ -154,6 +180,11 @@ class TestConvexMix:
         with pytest.raises(ValueError):
             convex_mix([pr_box()], [0.5, 0.5])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weight_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            convex_mix([pr_box(), uniform_box()], [bad, 0.5])
+
     @given(st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
     @settings(max_examples=50, deadline=None)
     def test_mix_of_valid_tables_is_valid(self, seed, w):
@@ -243,6 +274,19 @@ class TestSerialization:
         data["p"][0][0][0][0] = "x"
         with pytest.raises(BoxFormatError):
             BoxTable.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            np.where(pr_box().p > 0, "0.5", "0").tolist(),
+            (deterministic_local_box((0, 1), (1, 0)).p > 0).tolist(),
+        ],
+        ids=["strings", "bools"],
+    )
+    def test_string_and_bool_entries_rejected(self, table):
+        # both tables would be valid if their entries were read as floats
+        with pytest.raises(BoxFormatError, match="JSON numbers"):
+            BoxTable.from_dict({"p": table})
 
     def test_missing_table_rejected(self):
         with pytest.raises(BoxFormatError):

@@ -12,7 +12,7 @@ from prbox import (
     pr_box,
     pr_hv_model,
 )
-from prbox.cli import BoxSpecError, main, parse_box_spec
+from prbox.cli import BoxSpecError, _json_dumps, main, parse_box_spec
 from prbox.hidden_variable import truth_table_csv
 
 
@@ -216,9 +216,50 @@ class TestExitCodes:
         code, _, _ = run(capsys, "sweep", "--grid", "0:1")
         assert code == 3
 
-    def test_csv_rejected_for_json_only_commands(self, capsys):
-        code, _, _ = run(capsys, "analyze", "--box", "pr", "--format", "csv")
-        assert code == 2
+    def test_csv_rejected_for_json_only_commands(self):
+        with pytest.raises(SystemExit) as err:
+            main(["analyze", "--box", "pr", "--format", "csv"])
+        assert err.value.code == 2
+
+    def test_table1_takes_no_eps(self):
+        with pytest.raises(SystemExit) as err:
+            main(["table1", "--eps", "1e-3"])
+        assert err.value.code == 2
+
+    @pytest.mark.parametrize("command", ["analyze", "chsh", "build"])
+    @pytest.mark.parametrize("spec", ["hv:p0=nan", "mix:pr@nan+local:0,0,0,0@0.5"])
+    def test_non_finite_spec_is_3(self, capsys, command, spec):
+        code, out, err = run(capsys, command, "--box", spec)
+        assert code == 3
+        assert out == ""
+        assert "finite" in err
+
+    def test_non_finite_file_table_is_3(self, capsys, tmp_path):
+        path = tmp_path / "nan.json"
+        data = pr_box().to_dict()
+        data["p"][0][0][0][1] = float("nan")
+        path.write_text(json.dumps(data))
+        code, _, err = run(capsys, "analyze", "--box", f"file:{path}")
+        assert code == 3
+        assert "non-finite" in err
+
+    @pytest.mark.parametrize("grid", ["0:nan:0.1", "nan:1:0.1", "0:1:inf"])
+    def test_non_finite_grid_is_3(self, capsys, grid):
+        code, _, err = run(capsys, "sweep", "--grid", grid)
+        assert code == 3
+        assert "finite" in err
+
+    def test_json_output_rejects_nan(self):
+        with pytest.raises(ValueError):
+            _json_dumps({"s": float("nan")})
+
+    def test_string_file_table_is_3(self, capsys, tmp_path):
+        path = tmp_path / "strings.json"
+        data = pr_box().to_dict()
+        data["p"] = np.array(data["p"]).astype(str).tolist()
+        path.write_text(json.dumps(data))
+        code, _, _ = run(capsys, "chsh", "--box", f"file:{path}")
+        assert code == 3
 
     def test_missing_required_flags_exit_2(self):
         with pytest.raises(SystemExit) as err:

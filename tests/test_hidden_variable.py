@@ -61,6 +61,11 @@ class TestLambdaDist:
         with pytest.raises(ValueError):
             LambdaDist(0.5, 0.6)
 
+    @pytest.mark.parametrize("p0", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, p0):
+        with pytest.raises(ValueError, match="finite"):
+            LambdaDist.from_p0(p0)
+
     def test_prob_accessor(self):
         dist = LambdaDist(0.25, 0.75)
         assert dist.prob(0) == 0.25

@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 
 from helpers import random_box, random_local_mixture, random_product_box
 from prbox import (
+    BoxTable,
     LambdaDist,
+    LocalityReport,
     Verdict,
     Witness,
     all_deterministic_boxes,
@@ -28,6 +30,28 @@ from prbox import (
 
 def hv_box(p0):
     return hv_to_box(pr_hv_model(LambdaDist.from_p0(p0)))
+
+
+@st.composite
+def sparse_tables(draw):
+    """Random valid tables with a drawn set of zero cells, so that some
+    conditioning events are impossible and their conditionals undefined."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    zeros = (draw(st.integers(0, 2**16 - 1)) >> np.arange(16)) & 1
+    p = rng.random((2, 2, 2, 2))
+    p[zeros.reshape(2, 2, 2, 2) == 1] = 0.0
+    p[p.sum(axis=(2, 3)) == 0, 0, 0] = 1.0
+    return BoxTable(p / p.sum(axis=(2, 3), keepdims=True), "sparse")
+
+
+EPSILONS = st.sampled_from([1e-9, 1e-3, 0.2])
+
+CHECKS = [
+    ("no_signaling", no_signaling),
+    ("outcome_independence", outcome_independence),
+    ("bell_factorizable", bell_factorizable),
+    ("conditioned_dependence", conditioned_dependence),
+]
 
 
 class TestNoSignaling:
@@ -208,18 +232,36 @@ class TestWitnessIntegrity:
             return conditional_b(box, 0, y, a, b, eps), conditional_b(box, 1, y, a, b, eps)
         raise AssertionError(verdict_name)
 
+    # every (witness cell, side) each check compares, in the witness convention
+    CANDIDATES = {
+        "no_signaling": [(x, 0, a, -1, "A") for x, a in np.ndindex(2, 2)]
+        + [(0, y, -1, b, "B") for y, b in np.ndindex(2, 2)],
+        "outcome_independence": [(*c, s) for c in np.ndindex(2, 2, 2, 2) for s in "AB"],
+        "bell_factorizable": [(*c, "AB") for c in np.ndindex(2, 2, 2, 2)],
+        "conditioned_dependence": [(x, 0, a, b, "A") for x, a, b in np.ndindex(2, 2, 2)]
+        + [(0, y, a, b, "B") for y, a, b in np.ndindex(2, 2, 2)],
+    }
+
+    def expected_cells(self, box, verdict_name, eps):
+        """The witness cells the scalar recomputation finds, as (x, y, a, b, side)."""
+        if verdict_name == "bell_factorizable":
+            signaling = self.expected_cells(box, "no_signaling", eps)
+            if signaling:
+                return signaling
+        cells = set()
+        for x, y, a, b, side in self.CANDIDATES[verdict_name]:
+            probe = Witness(x, y, a, b, 0.0, 0.0, side)
+            lhs, rhs = self.recompute(box, verdict_name, probe, eps)
+            if lhs is not None and rhs is not None and abs(lhs - rhs) > eps:
+                cells.add((x, y, a, b, side))
+        return cells
+
     def test_stored_values_recompute_exactly(self):
         rng = np.random.default_rng(3)
         tables = [pr_box(), hv_box(0.3), hv_box(1.0)] + [random_box(rng) for _ in range(20)]
-        checks = [
-            ("no_signaling", no_signaling),
-            ("outcome_independence", outcome_independence),
-            ("bell_factorizable", bell_factorizable),
-            ("conditioned_dependence", conditioned_dependence),
-        ]
         seen_violation = False
         for box in tables:
-            for name, fn in checks:
+            for name, fn in CHECKS:
                 verdict = fn(box)
                 for witness in verdict.witnesses:
                     seen_violation = True
@@ -229,6 +271,16 @@ class TestWitnessIntegrity:
                     assert abs(lhs - rhs) > 1e-9
         assert seen_violation
 
+    @given(sparse_tables(), EPSILONS)
+    @settings(max_examples=150, deadline=None)
+    def test_witnesses_complete_and_exact(self, box, eps):
+        for name, fn in CHECKS:
+            verdict = fn(box, eps)
+            cells = {(w.x, w.y, w.a, w.b, w.side) for w in verdict.witnesses}
+            assert cells == self.expected_cells(box, name, eps), name
+            for witness in verdict.witnesses:
+                assert self.recompute(box, name, witness, eps) == (witness.lhs, witness.rhs)
+
     def test_witnesses_sorted_lexicographically(self):
         for verdict in [
             outcome_independence(pr_box()),
@@ -237,6 +289,34 @@ class TestWitnessIntegrity:
         ]:
             keys = [(w.x, w.y, w.a, w.b, w.side) for w in verdict.witnesses]
             assert keys == sorted(keys)
+
+
+def swap_witness(w):
+    """The same comparison seen from the party-swapped table."""
+    side = {"A": "B", "B": "A", "AB": "AB"}[w.side]
+    return Witness(w.y, w.x, w.b, w.a, w.lhs, w.rhs, side)
+
+
+def swap_verdict(v):
+    witnesses = sorted(map(swap_witness, v.witnesses), key=lambda w: (w.x, w.y, w.a, w.b, w.side))
+    return Verdict(v.holds, tuple(witnesses))
+
+
+class TestPartySwap:
+    def check(self, box, eps=1e-9):
+        report = locality_report(box, eps)
+        swapped = locality_report(BoxTable(box.p.transpose(1, 0, 3, 2)), eps)
+        expected = {name: swap_verdict(verdict) for name, verdict in vars(report).items()}
+        assert swapped == LocalityReport(**expected), box.label
+
+    @given(sparse_tables(), EPSILONS)
+    @settings(max_examples=150, deadline=None)
+    def test_random_sparse_tables(self, box, eps):
+        self.check(box, eps)
+
+    def test_named_tables(self):
+        for box in [pr_box(), hv_box(0.3), uniform_box(), *all_deterministic_boxes()]:
+            self.check(box)
 
 
 class TestVerdictAndReport:
