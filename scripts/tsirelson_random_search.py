@@ -3,7 +3,9 @@
 
 Draws angle quadruples uniformly, evaluates the singlet box at each, and
 reports the best |s| found together with its gap to 2*sqrt(2).  The gap
-shrinks with the point count but never goes negative.
+shrinks with the point count but never goes negative.  The search is
+block-batched (one einsum per block of a few thousand points), so
+``--points 1000000`` runs in a few seconds in bounded memory.
 """
 
 from __future__ import annotations

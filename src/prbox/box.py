@@ -185,24 +185,32 @@ def pr_box() -> BoxTable:
     return BoxTable(np.where(_PR_SUPPORT, 0.5, 0.0), "pr")
 
 
+# Row 8*f0 + 4*f1 + 2*g0 + g1 is the product box of a = f[x], b = g[y],
+# built from _ONE_HOT[2*f0 + f1][x, a] = [a == f[x]].
+_ONE_HOT = np.eye(2)[list(np.ndindex(2, 2))]
+_DETERMINISTIC_TABLES = np.einsum("fxa,gyb->fgxyab", _ONE_HOT, _ONE_HOT).reshape(
+    16, 2, 2, 2, 2
+)
+_DETERMINISTIC_TABLES.setflags(write=False)
+_DETERMINISTIC_LABELS = tuple(
+    f"local:{f0},{f1},{g0},{g1}" for f0, f1, g0, g1 in np.ndindex(2, 2, 2, 2)
+)
+
+
 def deterministic_local_box(f: Sequence[int], g: Sequence[int]) -> BoxTable:
     """Product box for deterministic strategies a = f[x], b = g[y]."""
     if len(f) != 2 or len(g) != 2:
         raise ValueError("f and g must each map both settings, i.e. have length 2")
     f0, f1 = (_check_bit(v, "f") for v in f)
     g0, g1 = (_check_bit(v, "g") for v in g)
-    p = np.zeros((2, 2, 2, 2))
-    resp = ((f0, f1), (g0, g1))
-    for x, y in np.ndindex(2, 2):
-        p[x, y, resp[0][x], resp[1][y]] = 1.0
-    return BoxTable(p, f"local:{f0},{f1},{g0},{g1}")
+    k = 8 * f0 + 4 * f1 + 2 * g0 + g1
+    return BoxTable(_DETERMINISTIC_TABLES[k], _DETERMINISTIC_LABELS[k])
 
 
 def all_deterministic_boxes() -> list[BoxTable]:
     """All 16 deterministic local strategies, ordered by (f0, f1, g0, g1)."""
     return [
-        deterministic_local_box((f0, f1), (g0, g1))
-        for f0, f1, g0, g1 in np.ndindex(2, 2, 2, 2)
+        BoxTable(p, label) for p, label in zip(_DETERMINISTIC_TABLES, _DETERMINISTIC_LABELS)
     ]
 
 

@@ -13,7 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .box import DEFAULT_EPS, BoxTable, _check_bit, all_deterministic_boxes
+from .box import (
+    DEFAULT_EPS,
+    _DETERMINISTIC_LABELS,
+    _DETERMINISTIC_TABLES,
+    BoxTable,
+    _check_bit,
+)
 
 # sign_products[a, b] = (1 - 2a) * (1 - 2b)
 _SIGN_PRODUCTS = np.array([[1.0, -1.0], [-1.0, 1.0]])
@@ -35,11 +41,12 @@ class ChshResult:
     s: float
 
     def __post_init__(self) -> None:
+        # written as "not <=" so that NaN fails both checks
         for name in ("e00", "e01", "e10", "e11"):
-            if abs(getattr(self, name)) > 1.0 + DEFAULT_EPS:
+            if not abs(getattr(self, name)) <= 1.0 + DEFAULT_EPS:
                 raise ValueError(f"{name} out of [-1, 1]: {getattr(self, name)}")
         expected = self.e00 + self.e01 + self.e10 - self.e11
-        if abs(self.s - expected) > DEFAULT_EPS:
+        if not abs(self.s - expected) <= DEFAULT_EPS:
             raise ValueError(f"s={self.s} inconsistent with correlations ({expected})")
 
     def as_dict(self) -> dict:
@@ -53,10 +60,19 @@ def correlation(t: BoxTable, x: int, y: int) -> float:
     )
 
 
+def _chsh_s(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Correlations E ``(2, 2, ...)`` and s ``(...)`` of tables ``(..., 2, 2, 2, 2)``.
+
+    The batch axes of E come last so that E[x, y] of one table is a scalar,
+    not a 0-d array, which keeps the one-table case of ``chsh_value`` cheap.
+    """
+    e = np.einsum("...xyab,ab->xy...", p, _SIGN_PRODUCTS)
+    return e, e[0, 0] + e[0, 1] + e[1, 0] - e[1, 1]
+
+
 def chsh_value(t: BoxTable) -> ChshResult:
-    e = np.einsum("xyab,ab->xy", t.p, _SIGN_PRODUCTS)
-    s = float(e[0, 0] + e[0, 1] + e[1, 0] - e[1, 1])
-    return ChshResult(float(e[0, 0]), float(e[0, 1]), float(e[1, 0]), float(e[1, 1]), s)
+    e, s = _chsh_s(t.p)
+    return ChshResult(*e.ravel().tolist(), float(s))
 
 
 @dataclass(frozen=True)
@@ -73,11 +89,6 @@ def classical_bound_certificate() -> ClassicalBoundCertificate:
     exactly +2 or -2, so the maximum is 2; mixtures cannot exceed it by
     linearity of s.
     """
-    best_abs = -1.0
-    best_label = ""
-    for box in all_deterministic_boxes():
-        s = chsh_value(box).s
-        if abs(s) > best_abs:
-            best_abs = abs(s)
-            best_label = box.label
-    return ClassicalBoundCertificate(best_abs, best_label)
+    s = np.abs(_chsh_s(_DETERMINISTIC_TABLES)[1])
+    k = int(np.argmax(s))
+    return ClassicalBoundCertificate(float(s[k]), _DETERMINISTIC_LABELS[k])

@@ -100,9 +100,12 @@ def _hits(
     """A witness at each index where lhs and rhs differ by more than eps;
     ``key`` maps the index to the witness cell.  NaN cells never hit."""
     lhs, rhs = np.broadcast_arrays(lhs, rhs)
+    hit = np.nonzero(np.abs(lhs - rhs) > eps)
     return [
-        Witness(*key(*(int(i) for i in index)), float(lhs[index]), float(rhs[index]), side)
-        for index in zip(*np.nonzero(np.abs(lhs - rhs) > eps))
+        Witness(*key(*index), left, right, side)
+        for index, left, right in zip(
+            zip(*(i.tolist() for i in hit)), lhs[hit].tolist(), rhs[hit].tolist()
+        )
     ]
 
 

@@ -6,8 +6,9 @@ sin(theta) sigma_x, with +1 eigenvector (cos(theta/2), sin(theta/2)) and
 -1 eigenvector (-sin(theta/2), cos(theta/2)).  The eigenvalue +1 maps to
 outcome 0 and -1 to outcome 1, so signed outcomes are recovered by
 a' = 1 - 2a.  Joint probabilities are rank-1 projector expectations
-computed directly on the 4-amplitude state vector; the problem size is
-fixed, so there is no general tensor machinery.
+computed directly on the 4-amplitude state vector.  One array path serves
+both a single table and a stack of them: :func:`singlet_box` is its
+one-row case and the random search runs it over blocks of rows.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .box import BoxTable
-from .chsh import chsh_value
+from .chsh import _chsh_s
 
 
 @dataclass(frozen=True)
@@ -72,30 +73,29 @@ OPTIMAL_CHSH_ANGLES = MeasurementAngles(
     0.0, math.pi / 2, -3 * math.pi / 4, 3 * math.pi / 4
 )
 
+_SINGLET = singlet().amplitudes.reshape(2, 2)
 
-def _eigenvectors(theta: float) -> np.ndarray:
-    """Rows: outcome (0 for +1, 1 for -1) -> eigenvector of the planar spin
-    observable at ``theta``."""
-    c = math.cos(theta / 2.0)
-    s = math.sin(theta / 2.0)
-    return np.array([[c, s], [-s, c]])
+# Rows of the random search evaluated per einsum; bounds its working memory.
+_SEARCH_BLOCK = 4096
+
+
+def _singlet_tables(theta: np.ndarray) -> np.ndarray:
+    """Tables ``(..., 2, 2, 2, 2)`` of angle rows ``(..., 4)`` (a0, a1, b0, b1):
+    p(x, y, a, b) = |<v_a(theta_Ax) (x) v_b(theta_By) | psi>|^2, the rank-1
+    projector expectation, with v_0 = (c, s) and v_1 = (-s, c) at theta/2."""
+    half = np.asarray(theta, dtype=float) / 2.0
+    c, s = np.cos(half), np.sin(half)
+    # v[..., setting, outcome, component] for the settings a0, a1, b0, b1
+    v = np.stack([c, s, -s, c], axis=-1).reshape(*half.shape, 2, 2)
+    va, vb = v[..., :2, :, :], v[..., 2:, :, :]
+    return np.abs(np.einsum("...xai,ij,...ybj->...xyab", va, _SINGLET, vb)) ** 2
 
 
 def singlet_box(angles: MeasurementAngles) -> BoxTable:
-    """Joint outcome table of planar spin measurements on the singlet.
-
-    p(x, y, a, b) = |<v_a(theta_Ax) (x) v_b(theta_By) | psi>|^2, the
-    expectation of the corresponding rank-1 projector pair.
-    """
-    m = singlet().amplitudes.reshape(2, 2)
-    va = np.stack([_eigenvectors(angles.a_angle(x)) for x in (0, 1)])
-    vb = np.stack([_eigenvectors(angles.b_angle(y)) for y in (0, 1)])
-    amp = np.einsum("xai,ij,ybj->xyab", va, m, vb)
-    label = (
-        f"singlet:{angles.theta_a0:g},{angles.theta_a1:g},"
-        f"{angles.theta_b0:g},{angles.theta_b1:g}"
-    )
-    return BoxTable(np.abs(amp) ** 2, label)
+    """Joint outcome table of planar spin measurements on the singlet."""
+    theta = (angles.theta_a0, angles.theta_a1, angles.theta_b0, angles.theta_b1)
+    label = "singlet:" + ",".join(f"{t:g}" for t in theta)
+    return BoxTable(_singlet_tables(theta), label)
 
 
 def max_chsh_over_random_angles(
@@ -103,20 +103,18 @@ def max_chsh_over_random_angles(
 ) -> tuple[float, MeasurementAngles]:
     """Random search over angle quadruples; returns (max |s|, argmax angles).
 
-    Goes through the full box construction for every point so the search
-    exercises the same arithmetic the rest of the package consumes.
+    Every point goes through the same singlet-table and CHSH arithmetic as
+    :func:`singlet_box` and ``chsh_value``, evaluated block-wise so memory
+    stays bounded.  Ties keep the first maximum.
     """
     if n_points < 1:
         raise ValueError(f"n_points must be positive, got {n_points}")
     rng = np.random.default_rng(seed)
     samples = rng.uniform(0.0, 2.0 * math.pi, size=(n_points, 4))
-    best_abs = -1.0
-    best: MeasurementAngles | None = None
-    for row in samples:
-        angles = MeasurementAngles(*row)
-        s = chsh_value(singlet_box(angles)).s
-        if abs(s) > best_abs:
-            best_abs = abs(s)
-            best = angles
-    assert best is not None
-    return best_abs, best
+    best_abs, best = -1.0, 0
+    for start in range(0, n_points, _SEARCH_BLOCK):
+        s = np.abs(_chsh_s(_singlet_tables(samples[start : start + _SEARCH_BLOCK]))[1])
+        k = int(np.argmax(s))
+        if s[k] > best_abs:
+            best_abs, best = s[k], start + k
+    return float(best_abs), MeasurementAngles(*samples[best])

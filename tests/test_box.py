@@ -136,6 +136,18 @@ class TestDeterministicLocalBox:
         with pytest.raises(ValueError):
             deterministic_local_box((0, 2), (0, 0))
 
+    def test_stack_equals_per_cell_construction(self):
+        # reference: set the one cell (x, y, f[x], g[y]) per setting pair
+        boxes = all_deterministic_boxes()
+        for box, (f0, f1, g0, g1) in zip(boxes, np.ndindex(2, 2, 2, 2)):
+            p = np.zeros((2, 2, 2, 2))
+            for x, y in np.ndindex(2, 2):
+                p[x, y, (f0, f1)[x], (g0, g1)[y]] = 1.0
+            assert np.array_equal(box.p, p)
+            assert box.label == f"local:{f0},{f1},{g0},{g1}"
+            single = deterministic_local_box((f0, f1), (g0, g1))
+            assert np.array_equal(single.p, p) and single.label == box.label
+
 
 class TestConvexMix:
     def test_identity_mix(self):

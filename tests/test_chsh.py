@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import random_box, random_local_mixture, random_product_box
 from prbox import (
+    BoxTable,
     ChshResult,
     OPTIMAL_CHSH_ANGLES,
     all_deterministic_boxes,
@@ -21,6 +22,7 @@ from prbox import (
     singlet_box,
     uniform_box,
 )
+from prbox.chsh import _chsh_s
 
 
 class TestSignedOutcome:
@@ -83,6 +85,14 @@ class TestChshValue:
         with pytest.raises(ValueError):
             ChshResult(1.5, 0.0, 0.0, 0.0, 1.5)
 
+    def test_nan_table_rejected(self):
+        with pytest.raises(ValueError):
+            chsh_value(BoxTable(np.full((2, 2, 2, 2), np.nan)))
+
+    def test_nan_s_rejected(self):
+        with pytest.raises(ValueError):
+            ChshResult(0.0, 0.0, 0.0, 0.0, math.nan)
+
     def test_json_shape(self):
         assert chsh_value(pr_box()).as_dict() == {
             "e": [[1.0, 1.0], [1.0, -1.0]],
@@ -101,6 +111,10 @@ class TestClassicalBound:
         cert = classical_bound_certificate()
         assert cert.max_abs_s == 2.0
         assert cert.argmax_label.startswith("local:")
+
+    def test_certificate_keeps_the_first_maximum(self):
+        cert = classical_bound_certificate()
+        assert (cert.max_abs_s, cert.argmax_label) == (2.0, "local:0,0,0,0")
 
     def test_every_deterministic_value_is_plus_or_minus_two(self):
         values = []
@@ -148,3 +162,18 @@ class TestAlgebraicStructure:
         assert abs(result.s) <= 4.0 + 1e-9
         for e in (result.e00, result.e01, result.e10, result.e11):
             assert abs(e) <= 1.0 + 1e-9
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 30))
+    @settings(max_examples=60, deadline=None)
+    def test_stacked_values_equal_chsh_value_table_by_table(self, seed, n):
+        rng = np.random.default_rng(seed)
+        tables = [random_box(rng) for _ in range(n)]
+        e, s = _chsh_s(np.stack([t.p for t in tables]))
+        for k, table in enumerate(tables):
+            result = chsh_value(table)
+            values = [result.e00, result.e01, result.e10, result.e11]
+            assert values == e[..., k].ravel().tolist()
+            assert values == pytest.approx(
+                [correlation(table, x, y) for x, y in np.ndindex(2, 2)], abs=1e-12
+            )
+            assert result.s == s[k]

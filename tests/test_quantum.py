@@ -17,6 +17,8 @@ from prbox import (
     singlet_box,
     validate,
 )
+from prbox import quantum
+from prbox.quantum import _SEARCH_BLOCK, _singlet_tables
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
 
@@ -38,6 +40,19 @@ def oracle_projector_table(angles):
         op = np.kron(projector(angles.a_angle(x), a), projector(angles.b_angle(y), b))
         p[x, y, a, b] = float(np.real(np.conj(psi) @ op @ psi))
     return p
+
+
+def reference_search(n_points, seed):
+    """The per-point loop: one singlet_box and chsh_value per angle row; a
+    row replaces the best only when its |s| is strictly greater."""
+    samples = np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, size=(n_points, 4))
+    best_abs, best = -1.0, None
+    for row in samples:
+        angles = MeasurementAngles(*row)
+        s = abs(chsh_value(singlet_box(angles)).s)
+        if s > best_abs:
+            best_abs, best = s, angles
+    return best_abs, best
 
 
 class TestSingletState:
@@ -109,6 +124,14 @@ class TestSingletBox:
         )
         assert np.allclose(base.p, shifted.p, atol=1e-9)
 
+    @given(st.lists(st.tuples(angle, angle, angle, angle), min_size=1, max_size=40))
+    @settings(max_examples=60, deadline=None)
+    def test_stacked_tables_equal_singlet_box_row_by_row(self, rows):
+        tables = _singlet_tables(np.array(rows))
+        assert tables.shape == (len(rows), 2, 2, 2, 2)
+        for row, table in zip(rows, tables):
+            assert np.array_equal(table, singlet_box(MeasurementAngles(*row)).p)
+
 
 class TestTsirelson:
     def test_optimal_angles_attain_the_quantum_bound(self):
@@ -120,6 +143,24 @@ class TestTsirelson:
         assert best <= TSIRELSON + 1e-6
         assert best > 2.0  # the search does find genuinely nonclassical points
         assert isinstance(angles, MeasurementAngles)
+
+    @pytest.mark.parametrize(
+        "n_points",
+        [1, 2, _SEARCH_BLOCK - 1, _SEARCH_BLOCK, _SEARCH_BLOCK + 1, 3 * _SEARCH_BLOCK + 7],
+    )
+    @pytest.mark.parametrize("seed", range(5))
+    def test_search_equals_the_per_point_loop(self, n_points, seed):
+        # repr pins the value and all four angles bit for bit
+        assert repr(max_chsh_over_random_angles(n_points, seed)) == repr(
+            reference_search(n_points, seed)
+        )
+
+    def test_search_keeps_the_first_of_tied_maxima(self, monkeypatch):
+        # every row ties at |s| = 1, so the first sampled row must win
+        monkeypatch.setattr(quantum, "_chsh_s", lambda p: (None, -np.ones(len(p))))
+        n_points = 2 * _SEARCH_BLOCK + 3
+        first = np.random.default_rng(4).uniform(0.0, 2.0 * math.pi, size=(n_points, 4))[0]
+        assert max_chsh_over_random_angles(n_points, 4) == (1.0, MeasurementAngles(*first))
 
     def test_search_requires_points(self):
         with pytest.raises(ValueError):

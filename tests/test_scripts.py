@@ -1,0 +1,55 @@
+"""Smoke tests for the experiment scripts: each runs as a subprocess with
+``src`` on the import path and must exit 0."""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name, *args):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def field(text, label):
+    match = re.search(rf"^{re.escape(label)}\s+(?:s = )?(\S+)$", text, re.MULTILINE)
+    assert match, f"no {label!r} line in:\n{text}"
+    return float(match.group(1))
+
+
+def test_tsirelson_random_search():
+    out = run_script("tsirelson_random_search.py", "--points", "20000")
+    best = field(out, "best |s| found:")
+    assert field(out, "gap to maximum:") >= 0.0
+    assert best > 2.0
+    # both lines print 9 decimals of the same value, up to its sign
+    assert abs(field(out, "recheck at best:")) == best
+
+
+@pytest.mark.parametrize(
+    "name, args, header",
+    [
+        ("isotropic_noise_scan.py", (), "w,s,no_signaling,factorizable"),
+        (
+            "lambda_sweep_experiment.py",
+            ("--steps", "5"),
+            "p0,chsh,constraint_ok,no_signaling,max_marginal_leak",
+        ),
+    ],
+)
+def test_scan_scripts_run(name, args, header):
+    assert run_script(name, *args).splitlines()[0] == header
