@@ -168,6 +168,19 @@ def validate(t: BoxTable, eps: float = DEFAULT_EPS) -> ValidationResult:
     return ValidationResult(tuple(issues))
 
 
+def _check_finite(t: BoxTable) -> None:
+    """Raise ValueError at the first NaN or infinite entry.
+
+    ``BoxTable`` itself does not validate, so analyses that would otherwise
+    read a NaN comparison as "no difference" call this first.
+    """
+    if np.isfinite(t.p).all():
+        return
+    x, y, a, b = np.argwhere(~np.isfinite(t.p))[0].tolist()
+    entry = ValidationIssue("non_finite", x, y, a, b, float(t.p[x, y, a, b]))
+    raise ValueError(f"box {t.label!r}: {entry}")
+
+
 # Cells allowed by the PR relation (a + b) mod 2 = x*y.
 _PR_SUPPORT = np.fromfunction(
     lambda x, y, a, b: (a + b) % 2 == x * y, (2, 2, 2, 2), dtype=int

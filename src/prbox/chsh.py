@@ -19,6 +19,7 @@ from .box import (
     _DETERMINISTIC_TABLES,
     BoxTable,
     _check_bit,
+    _check_bits,
 )
 
 # sign_products[a, b] = (1 - 2a) * (1 - 2b)
@@ -54,10 +55,10 @@ class ChshResult:
 
 
 def correlation(t: BoxTable, x: int, y: int) -> float:
-    """E(x, y): expectation of the product of signed outcomes."""
-    return float(
-        np.sum(t.p[_check_bit(x, "x"), _check_bit(y, "y")] * _SIGN_PRODUCTS)
-    )
+    """E(x, y): expectation of the product of signed outcomes, the same
+    value :func:`chsh_value` reports for that setting pair."""
+    x, y = _check_bits(x=x, y=y)
+    return float(_chsh_s(t.p)[0][x, y])
 
 
 def _chsh_s(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

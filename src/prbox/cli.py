@@ -25,6 +25,7 @@ import argparse
 import json
 import math
 import sys
+from typing import Callable
 
 from .box import (
     DEFAULT_EPS,
@@ -77,22 +78,31 @@ def _parse_bit(text: str, what: str, position: int) -> int:
     return int(text)
 
 
+def _parse_fields(
+    spec: str, kind: str, noun: str, parse: Callable[[str, str, int], float], what: str
+) -> list[float]:
+    """The four comma-separated fields after ``kind:``, each parsed by
+    ``parse`` with its position in ``spec``."""
+    pos = len(kind) + 1
+    body = spec[pos:]
+    parts = body.split(",")
+    if len(parts) != 4:
+        raise BoxSpecError(
+            f"{kind} takes four comma-separated {noun}, got {body!r}", pos
+        )
+    values = []
+    for part in parts:
+        values.append(parse(part, what, pos))
+        pos += len(part) + 1
+    return values
+
+
 def parse_box_spec(spec: str, eps: float = DEFAULT_EPS) -> BoxTable | HVModel:
     """Parse a box spec; hv specs return the model, everything else a table."""
     if spec == "pr":
         return pr_box()
     if spec.startswith("local:"):
-        body = spec[len("local:"):]
-        parts = body.split(",")
-        if len(parts) != 4:
-            raise BoxSpecError(
-                f"local takes four comma-separated bits, got {body!r}", len("local:")
-            )
-        pos = len("local:")
-        bits = []
-        for part in parts:
-            bits.append(_parse_bit(part, "local response", pos))
-            pos += len(part) + 1
+        bits = _parse_fields(spec, "local", "bits", _parse_bit, "local response")
         return deterministic_local_box(bits[:2], bits[2:])
     if spec.startswith("hv:"):
         body = spec[len("hv:"):]
@@ -101,18 +111,7 @@ def parse_box_spec(spec: str, eps: float = DEFAULT_EPS) -> BoxTable | HVModel:
         p0 = _parse_float(body[len("p0="):], "p0", len("hv:p0="))
         return pr_hv_model(LambdaDist.from_p0(p0))
     if spec.startswith("singlet:"):
-        body = spec[len("singlet:"):]
-        parts = body.split(",")
-        if len(parts) != 4:
-            raise BoxSpecError(
-                f"singlet takes four comma-separated angles, got {body!r}",
-                len("singlet:"),
-            )
-        pos = len("singlet:")
-        angles = []
-        for part in parts:
-            angles.append(_parse_float(part, "angle", pos))
-            pos += len(part) + 1
+        angles = _parse_fields(spec, "singlet", "angles", _parse_float, "angle")
         return singlet_box(MeasurementAngles(*angles))
     if spec.startswith("file:"):
         path = spec[len("file:"):]
@@ -179,23 +178,20 @@ def _cmd_table1(args: argparse.Namespace) -> str:
 
 def _cmd_sample(args: argparse.Namespace) -> str:
     obj = parse_box_spec(args.box, args.eps)
+    if isinstance(obj, HVModel):
+        sample, sample_records = sample_hv, sample_hv_records
+    else:
+        sample, sample_records = sample_box, sample_box_records
     if args.records:
         if args.format == "json":
             raise BoxSpecError("record dumps are CSV only; drop --format json")
-        if isinstance(obj, HVModel):
-            return records_to_csv(sample_hv_records(obj, args.trials, args.seed))
-        return records_to_csv(sample_box_records(obj, args.trials, args.seed))
-    if isinstance(obj, HVModel):
-        table = sample_hv(obj, args.trials, args.seed)
-        label = obj.label
-    else:
-        table = sample_box(obj, args.trials, args.seed)
-        label = obj.label
+        return records_to_csv(sample_records(obj, args.trials, args.seed))
+    table = sample(obj, args.trials, args.seed)
     if args.format == "csv":
         return table.to_csv()
     return _json_dumps(
         {
-            "label": label,
+            "label": obj.label,
             "seed": table.seed,
             "trials_per_setting": table.trials_per_setting.tolist(),
             "counts": table.counts.tolist(),

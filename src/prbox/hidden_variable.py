@@ -14,7 +14,7 @@ rather than hides.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -34,6 +34,10 @@ TRUTH_TABLE_ORDER: tuple[tuple[int, int, int], ...] = (
     (1, 1, 0),
     (1, 1, 1),
 )
+
+# x, y and lambda of the 8 input triples, in (x, y, lambda) order.
+_TRIPLES = np.indices((2, 2, 2)).reshape(3, 8)
+_TRIPLES.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -73,22 +77,29 @@ class HVModel:
 
     Both response functions take the full (x, y, lambda) signature even
     when they ignore an argument; actual dependence is discovered by
-    :func:`hv_dependence` instead of being encoded in the type.
+    :func:`hv_dependence` instead of being encoded in the type.  They are
+    called only on construction, which tabulates them as the read-only
+    ``responses[party, x, y, lambda]`` (party 0 is A) that all readers use.
     """
 
     respond_a: Callable[[int, int, int], int]
     respond_b: Callable[[int, int, int], int]
     dist: LambdaDist
     label: str = ""
+    responses: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        responses = np.empty((2, 2, 2, 2), dtype=np.int64)
         for x, y, lam in np.ndindex(2, 2, 2):
-            for name, fn in (("respond_a", self.respond_a), ("respond_b", self.respond_b)):
-                out = fn(x, y, lam)
+            for party, name in enumerate(("respond_a", "respond_b")):
+                out = getattr(self, name)(x, y, lam)
                 if out not in (0, 1):
                     raise ValueError(
                         f"{name}({x}, {y}, {lam}) must be 0 or 1, got {out!r}"
                     )
+                responses[party, x, y, lam] = out
+        responses.setflags(write=False)
+        object.__setattr__(self, "responses", responses)
 
 
 def pr_hv_model(dist: LambdaDist) -> HVModel:
@@ -107,10 +118,8 @@ def pr_hv_model(dist: LambdaDist) -> HVModel:
 
 def truth_table(m: HVModel) -> list[tuple[int, int, int, int, int]]:
     """All 8 rows (x, y, lambda, a, b) in the canonical row order."""
-    return [
-        (x, y, lam, m.respond_a(x, y, lam), m.respond_b(x, y, lam))
-        for x, y, lam in TRUTH_TABLE_ORDER
-    ]
+    a, b = m.responses.tolist()
+    return [(x, y, lam, a[x][y][lam], b[x][y][lam]) for x, y, lam in TRUTH_TABLE_ORDER]
 
 
 def truth_table_csv(m: HVModel) -> str:
@@ -121,12 +130,12 @@ def truth_table_csv(m: HVModel) -> str:
 
 
 def hv_to_box(m: HVModel) -> BoxTable:
-    """Marginalize the hidden variable into an observable box table."""
+    """Marginalize the hidden variable into an observable box table; the
+    weights are added unbuffered, in (x, y, lambda) order."""
+    x, y, lam = _TRIPLES
     p = np.zeros((2, 2, 2, 2))
-    for x, y, lam in np.ndindex(2, 2, 2):
-        a = m.respond_a(x, y, lam)
-        b = m.respond_b(x, y, lam)
-        p[x, y, a, b] += m.dist.prob(lam)
+    weights = np.array([m.dist.p0, m.dist.p1])[lam]
+    np.add.at(p, (x, y, *m.responses[:, x, y, lam]), weights)
     return BoxTable(p, m.label or "hv")
 
 
@@ -145,14 +154,9 @@ def hv_dependence(m: HVModel) -> HVDependence:
     model: responses are functions of the inputs and lambda alone, so an
     outcome can never feed the other party's outcome.
     """
-    a_on_y = any(
-        m.respond_a(x, 0, lam) != m.respond_a(x, 1, lam)
-        for x, lam in np.ndindex(2, 2)
-    )
-    b_on_x = any(
-        m.respond_b(0, y, lam) != m.respond_b(1, y, lam)
-        for y, lam in np.ndindex(2, 2)
-    )
+    a, b = m.responses
+    a_on_y = bool(np.any(a[:, 0] != a[:, 1]))
+    b_on_x = bool(np.any(b[0] != b[1]))
     return HVDependence(a_on_y, b_on_x, False, False)
 
 

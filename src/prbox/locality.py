@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .box import DEFAULT_EPS, BoxTable, _check_eps, _swap
+from .box import DEFAULT_EPS, BoxTable, _check_eps, _check_finite, _swap
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,9 @@ class Verdict:
 
 def _sides(t: BoxTable) -> Iterator[tuple[np.ndarray, str, Callable[..., tuple]]]:
     """(table, side, index map) for party A, then for party B as party A of
-    the swapped table, whose cells map back by (x, y, a, b) -> (y, x, b, a)."""
+    the swapped table, whose cells map back by (x, y, a, b) -> (y, x, b, a).
+    A NaN or infinite entry raises ValueError before the first side."""
+    _check_finite(t)
     yield t.p, "A", lambda x, y, a, b: (x, y, a, b)
     yield _swap(t).p, "B", lambda x, y, a, b: (y, x, b, a)
 

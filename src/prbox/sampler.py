@@ -5,21 +5,25 @@ generator (numpy's implementation of the published algorithm), keyed by
 (seed mod 2**64, setting-pair index 2x + y).  Each setting pair owns an
 independent stream, so per-pair sampling may run concurrently and still
 reproduce the sequential result bit for bit.  One trial consumes one
-double u in [0, 1): box sampling picks the outcome cell by inverse CDF
-over the four (a, b) cells in lexicographic order; hidden-variable
-sampling spends u on the hidden variable instead (lambda = 0 iff u < p0)
-and then applies the deterministic response functions.  Identical
-(input, trials, seed) therefore yield identical tables and records.
+double u in [0, 1), and boxes and models share one draw: an inverse CDF
+over ordered segments of [0, 1), whose index is the number of interior
+boundaries c with u >= c.  A box's segments are its four (a, b) cells in
+lexicographic order (boundaries at the cumulative sums of P(a, b | x, y),
+negative entries clipped to 0); a hidden-variable model's are lambda = 0
+and 1 (one boundary at p0), whose tabulated responses then give (a, b).
+Counts and records are two views of the same draw, so identical (input,
+trials, seed) yield identical tables and records.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import repeat
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .box import BoxTable
+from .box import BoxTable, _check_finite
 from .chsh import ChshResult, chsh_value
 from .hidden_variable import HVModel
 
@@ -101,73 +105,63 @@ def _pair_stream(seed: int, x: int, y: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _draw_cells(t: BoxTable, x: int, y: int, trials: int, seed: int) -> np.ndarray:
-    """Cell indices 2a + b for ``trials`` draws at setting pair (x, y)."""
-    cdf = np.cumsum(np.clip(t.p[x, y].reshape(4), 0.0, None))
-    cdf[-1] = 1.0
-    u = _pair_stream(seed, x, y).random(trials)
-    return np.searchsorted(cdf, u, side="right")
+def _draw(obj: BoxTable | HVModel, trials: int, seed: int) -> Iterator[tuple]:
+    """(x, y, cells 2a + b, lambdas or None for a box) of ``trials`` draws,
+    one setting pair at a time in ``SETTING_PAIRS`` order."""
+    model = isinstance(obj, HVModel)
+    if model:
+        bounds = np.full((2, 2, 1), obj.dist.p0)
+        cells_by_lambda = 2 * obj.responses[0] + obj.responses[1]
+    else:
+        _check_finite(obj)
+        # The fourth boundary is 1, above every u in [0, 1), so it is left out.
+        bounds = np.cumsum(np.clip(obj.p.reshape(2, 2, 4), 0.0, None), axis=2)[..., :3]
+    for x, y in SETTING_PAIRS:
+        u = _pair_stream(seed, x, y).random(trials)
+        k = np.zeros(trials, dtype=np.int64)
+        for c in bounds[x, y]:
+            k += u >= c
+        yield (x, y, cells_by_lambda[x, y][k], k) if model else (x, y, k, None)
 
 
-def _draw_lambdas(m: HVModel, x: int, y: int, trials: int, seed: int) -> np.ndarray:
-    u = _pair_stream(seed, x, y).random(trials)
-    return (u >= m.dist.p0).astype(np.int64)
+def _counts(obj: BoxTable | HVModel, trials: int, seed: int) -> EmpiricalTable:
+    trials = _check_trials(trials)
+    counts = np.zeros((2, 2, 2, 2), dtype=np.int64)
+    for x, y, cells, _ in _draw(obj, trials, seed):
+        counts[x, y] = np.bincount(cells, minlength=4).reshape(2, 2)
+    return EmpiricalTable(counts, np.full((2, 2), trials), seed)
 
 
-def _hv_outcomes(
-    m: HVModel, x: int, y: int, lambdas: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    a_by_lam = np.array([m.respond_a(x, y, 0), m.respond_a(x, y, 1)])
-    b_by_lam = np.array([m.respond_b(x, y, 0), m.respond_b(x, y, 1)])
-    return a_by_lam[lambdas], b_by_lam[lambdas]
+def _records(obj: BoxTable | HVModel, trials: int, seed: int) -> list[SampleRecord]:
+    records: list[SampleRecord] = []
+    for x, y, cells, lambdas in _draw(obj, _check_trials(trials), seed):
+        a, b = (cells >> 1).tolist(), (cells & 1).tolist()
+        lams = repeat(None) if lambdas is None else lambdas.tolist()
+        records += map(SampleRecord, repeat(x), repeat(y), a, b, lams)
+    return records
 
 
 def sample_box(t: BoxTable, trials_per_setting: int, seed: int) -> EmpiricalTable:
     """Draw outcome pairs from the exact table, per setting pair."""
-    trials = _check_trials(trials_per_setting)
-    counts = np.zeros((2, 2, 2, 2), dtype=np.int64)
-    for x, y in SETTING_PAIRS:
-        cells = _draw_cells(t, x, y, trials, seed)
-        counts[x, y] = np.bincount(cells, minlength=4).reshape(2, 2)
-    return EmpiricalTable(counts, np.full((2, 2), trials, dtype=np.int64), seed)
+    return _counts(t, trials_per_setting, seed)
 
 
 def sample_box_records(
     t: BoxTable, trials_per_setting: int, seed: int
 ) -> list[SampleRecord]:
     """Per-trial records for the same stream :func:`sample_box` consumes."""
-    trials = _check_trials(trials_per_setting)
-    records = []
-    for x, y in SETTING_PAIRS:
-        for cell in _draw_cells(t, x, y, trials, seed):
-            records.append(SampleRecord(x, y, int(cell) >> 1, int(cell) & 1))
-    return records
+    return _records(t, trials_per_setting, seed)
 
 
 def sample_hv(m: HVModel, trials_per_setting: int, seed: int) -> EmpiricalTable:
     """Draw the hidden variable per trial, then apply the response functions."""
-    trials = _check_trials(trials_per_setting)
-    counts = np.zeros((2, 2, 2, 2), dtype=np.int64)
-    for x, y in SETTING_PAIRS:
-        lambdas = _draw_lambdas(m, x, y, trials, seed)
-        a, b = _hv_outcomes(m, x, y, lambdas)
-        counts[x, y] = np.bincount(2 * a + b, minlength=4).reshape(2, 2)
-    return EmpiricalTable(counts, np.full((2, 2), trials, dtype=np.int64), seed)
+    return _counts(m, trials_per_setting, seed)
 
 
 def sample_hv_records(
     m: HVModel, trials_per_setting: int, seed: int
 ) -> list[SampleRecord]:
-    trials = _check_trials(trials_per_setting)
-    records = []
-    for x, y in SETTING_PAIRS:
-        lambdas = _draw_lambdas(m, x, y, trials, seed)
-        a, b = _hv_outcomes(m, x, y, lambdas)
-        records.extend(
-            SampleRecord(x, y, int(ai), int(bi), int(lam))
-            for ai, bi, lam in zip(a, b, lambdas)
-        )
-    return records
+    return _records(m, trials_per_setting, seed)
 
 
 def records_to_csv(records: Iterable[SampleRecord]) -> str:

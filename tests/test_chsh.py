@@ -62,6 +62,24 @@ class TestCorrelation:
             )
             assert correlation(box, x, y) == pytest.approx(oracle, abs=1e-12)
 
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_chsh_value_exactly(self, seed):
+        box = random_box(np.random.default_rng(seed))
+        result = chsh_value(box)
+        assert [correlation(box, x, y) for x, y in np.ndindex(2, 2)] == [
+            result.e00,
+            result.e01,
+            result.e10,
+            result.e11,
+        ]
+
+    def test_rejects_non_bit_setting(self):
+        with pytest.raises(ValueError, match="x must be 0 or 1"):
+            correlation(pr_box(), 2, 0)
+        with pytest.raises(ValueError, match="y must be 0 or 1"):
+            correlation(pr_box(), 0, -1)
+
 
 class TestChshValue:
     def test_pr_box_saturates_the_algebraic_bound(self):

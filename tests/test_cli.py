@@ -181,6 +181,30 @@ class TestExitCodes:
         assert code == 2
         assert "unknown box spec" in err
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("local:0,1,0", "local takes four comma-separated bits, got '0,1,0' (at position 6)"),
+            ("local:0,1,0,1,1", "local takes four comma-separated bits, got '0,1,0,1,1' (at position 6)"),
+            ("local:", "local takes four comma-separated bits, got '' (at position 6)"),
+            ("local:0,2,0,1", "expected 0 or 1 for local response, got '2' (at position 8)"),
+            ("local:0,1,,1", "expected 0 or 1 for local response, got '' (at position 10)"),
+            ("local:1,1,1,01", "expected 0 or 1 for local response, got '01' (at position 12)"),
+            ("singlet:0,1,2", "singlet takes four comma-separated angles, got '0,1,2' (at position 8)"),
+            ("singlet:", "singlet takes four comma-separated angles, got '' (at position 8)"),
+            ("singlet:0,1,2,3,4", "singlet takes four comma-separated angles, got '0,1,2,3,4' (at position 8)"),
+            ("singlet:0,abc,2,3", "expected a number for angle, got 'abc' (at position 10)"),
+            ("singlet:1.5,2,,3", "expected a number for angle, got '' (at position 14)"),
+            ("singlet:0,1,2,3x", "expected a number for angle, got '3x' (at position 14)"),
+            ("mix:pr@0.5+local:0,2,0,0@0.5", "expected 0 or 1 for local response, got '2' (at position 8)"),
+        ],
+    )
+    def test_field_grammar_error_text(self, capsys, spec, message):
+        code, out, err = run(capsys, "analyze", "--box", spec)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
     def test_grammar_error_is_2(self, capsys):
         code, _, _ = run(capsys, "chsh", "--box", "local:0,0,0")
         assert code == 2

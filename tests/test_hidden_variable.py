@@ -13,6 +13,8 @@ from prbox import (
     pr_box,
     pr_constraint_holds,
     pr_hv_model,
+    sample_hv,
+    sample_hv_records,
     truth_table,
     truth_table_csv,
     validate,
@@ -88,6 +90,65 @@ class TestModelResponses:
                 respond_b=lambda x, y, lam: 0,
                 dist=LambdaDist.from_p0(0.5),
             )
+
+
+class TestResponseTable:
+    def test_layout(self):
+        m = pr_hv_model(LambdaDist.from_p0(0.5))
+        assert m.responses.shape == (2, 2, 2, 2)
+        for x, y, lam in np.ndindex(2, 2, 2):
+            assert m.responses[0, x, y, lam] == (x + lam) % 2
+            assert m.responses[1, x, y, lam] == (x + lam - x * y) % 2
+
+    def test_read_only(self):
+        m = pr_hv_model(LambdaDist.from_p0(0.5))
+        with pytest.raises(ValueError):
+            m.responses[0, 0, 0, 0] = 1
+
+    def test_not_part_of_constructor_repr_or_equality(self):
+        a, b = (lambda x, y, lam: lam), (lambda x, y, lam: x)
+        dist = LambdaDist.from_p0(0.2)
+        m = HVModel(a, b, dist, "m")
+        assert m == HVModel(a, b, dist, "m")
+        assert hash(m) == hash(HVModel(a, b, dist, "m"))
+        assert "responses" not in repr(m)
+        with pytest.raises(TypeError):
+            HVModel(a, b, dist, "m", responses=m.responses)
+
+    def test_bool_and_float_responses_are_stored_as_bits(self):
+        # validation accepts True and 1.0 as outcome 1; the table holds ints
+        m = HVModel(
+            respond_a=lambda x, y, lam: x == lam,
+            respond_b=lambda x, y, lam: 1.0 * y,
+            dist=LambdaDist.from_p0(0.5),
+        )
+        assert truth_table(m)[0] == (0, 0, 0, 1, 0)
+        assert truth_table_csv(m).splitlines()[1] == "0,0,0,1,0"
+        assert hv_to_box(m).prob(0, 1, 1, 1) == 0.5
+
+    def test_responses_called_only_at_construction(self):
+        calls = {"a": 0, "b": 0}
+
+        def counted(name, fn):
+            def respond(x, y, lam):
+                calls[name] += 1
+                return fn(x, y, lam)
+
+            return respond
+
+        m = HVModel(
+            respond_a=counted("a", lambda x, y, lam: (x + lam) % 2),
+            respond_b=counted("b", lambda x, y, lam: (x + lam - x * y) % 2),
+            dist=LambdaDist.from_p0(0.3),
+        )
+        assert calls == {"a": 8, "b": 8}
+        truth_table(m)
+        truth_table_csv(m)
+        hv_to_box(m)
+        hv_dependence(m)
+        sample_hv(m, 50, 1)
+        sample_hv_records(m, 50, 1)
+        assert calls == {"a": 8, "b": 8}
 
 
 class TestTruthTable:

@@ -346,3 +346,43 @@ class TestVerdictAndReport:
             if report.bell_factorizable.holds:
                 assert report.outcome_independence.holds
                 assert report.parameter_independence.holds
+
+
+def _with_entry(value):
+    p = pr_box().p.copy()
+    p[1, 0, 1, 0] = value
+    return BoxTable(p, "bad")
+
+
+NON_FINITE_TABLES = [
+    BoxTable(np.full((2, 2, 2, 2), np.nan), "nan"),
+    _with_entry(np.nan),
+    _with_entry(np.inf),
+    _with_entry(-np.inf),
+]
+
+
+class TestNonFiniteTables:
+    """A table built directly through the library is not validated; every
+    analysis must refuse a NaN or infinite entry instead of reading its
+    comparisons as "no difference"."""
+
+    @pytest.mark.parametrize("table", NON_FINITE_TABLES, ids=["all-nan", "nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "analysis",
+        [
+            no_signaling,
+            parameter_independence,
+            outcome_independence,
+            bell_factorizable,
+            conditioned_dependence,
+            locality_report,
+        ],
+    )
+    def test_rejected(self, analysis, table):
+        with pytest.raises(ValueError, match="non-finite entry"):
+            analysis(table)
+
+    def test_message_names_the_first_bad_cell(self):
+        with pytest.raises(ValueError, match=r"\(x=1, y=0, a=1, b=0\): inf"):
+            locality_report(_with_entry(np.inf))

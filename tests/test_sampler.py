@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 from prbox import (
+    BoxTable,
     EmpiricalTable,
+    HVModel,
     InsufficientTrialsError,
     LambdaDist,
+    all_deterministic_boxes,
     compare,
     deterministic_local_box,
     empirical_chsh,
@@ -16,7 +19,9 @@ from prbox import (
     sample_box_records,
     sample_hv,
     sample_hv_records,
+    uniform_box,
 )
+from prbox.sampler import SETTING_PAIRS, SampleRecord
 
 SEED = 20260810
 
@@ -193,3 +198,95 @@ class TestCsvEmission:
         csv = records_to_csv(sample_hv_records(m, 2, SEED))
         for line in csv.strip().split("\n")[1:]:
             assert line.split(",")[2] in ("0", "1")
+
+
+def reference_draw(obj, trials, seed):
+    """Per-pair draw written out independently: ``searchsorted`` on the
+    clipped cumulative table for a box, ``u >= p0`` and the response
+    functions for a model.  Returns (counts, records)."""
+    counts = np.zeros((2, 2, 2, 2), dtype=np.int64)
+    records = []
+    for x, y in SETTING_PAIRS:
+        key = np.array([int(seed) % 2**64, 2 * x + y], dtype=np.uint64)
+        u = np.random.Generator(np.random.Philox(key=key)).random(trials)
+        if isinstance(obj, HVModel):
+            lambdas = (u >= obj.dist.p0).astype(np.int64)
+            rows = [
+                (obj.respond_a(x, y, lam), obj.respond_b(x, y, lam), lam)
+                for lam in lambdas.tolist()
+            ]
+        else:
+            cdf = np.cumsum(np.clip(obj.p[x, y].reshape(4), 0.0, None))
+            cdf[-1] = 1.0
+            cells = np.searchsorted(cdf, u, side="right").tolist()
+            rows = [(cell >> 1, cell & 1, None) for cell in cells]
+        for a, b, lam in rows:
+            counts[x, y, a, b] += 1
+            records.append(SampleRecord(x, y, a, b, lam))
+    return counts, records
+
+
+def _parity_boxes():
+    rng = np.random.default_rng(20260810)
+    boxes = [pr_box(), uniform_box(), *all_deterministic_boxes()]
+    for _ in range(24):
+        # sparse tables, then +-1e-11 noise so that sums and entries sit
+        # just off 1 and 0 on both sides
+        p = rng.random((2, 2, 2, 2)) * (rng.random((2, 2, 2, 2)) < 0.6)
+        p[..., 0, 0] += 1e-3
+        p /= p.sum(axis=(2, 3), keepdims=True)
+        p += rng.choice([-1e-11, 0.0, 1e-11], size=p.shape)
+        boxes.append(BoxTable(p, "sparse"))
+    return boxes
+
+
+def _parity_models():
+    eps = 1e-9
+    models = []
+    for p0 in (0.0, 1.0, -eps / 2, 1 + eps / 2, 0.5, 0.3183098861837907):
+        dist = LambdaDist.from_p0(p0)
+        models.append(pr_hv_model(dist))
+        models.append(
+            HVModel(
+                respond_a=lambda x, y, lam: (y + lam * x) % 2,
+                respond_b=lambda x, y, lam: (lam + 1 + x) % 2,
+                dist=dist,
+                label="other",
+            )
+        )
+    return models
+
+
+PARITY_INPUTS = _parity_boxes() + _parity_models()
+
+
+class TestReferenceParity:
+    """Counts, records and record CSV equal a per-pair reference draw
+    exactly, for boxes and for models."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**64 + 3, -5])
+    @pytest.mark.parametrize("trials", [1, 17, 1000])
+    def test_counts_records_and_csv(self, seed, trials):
+        for obj in PARITY_INPUTS:
+            model = isinstance(obj, HVModel)
+            counts, records = reference_draw(obj, trials, seed)
+            table = (sample_hv if model else sample_box)(obj, trials, seed)
+            got = (sample_hv_records if model else sample_box_records)(obj, trials, seed)
+            assert np.array_equal(table.counts, counts), obj.label
+            assert got == records, obj.label
+            assert records_to_csv(got) == records_to_csv(records), obj.label
+
+
+class TestNonFiniteTables:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("sample", [sample_box, sample_box_records])
+    def test_rejected(self, sample, value):
+        p = pr_box().p.copy()
+        p[0, 1, 1, 1] = value
+        with pytest.raises(ValueError, match=r"non-finite entry at \(x=0, y=1, a=1, b=1\)"):
+            sample(BoxTable(p, "bad"), 10, SEED)
+
+    @pytest.mark.parametrize("sample", [sample_box, sample_box_records])
+    def test_all_nan_rejected(self, sample):
+        with pytest.raises(ValueError, match="non-finite"):
+            sample(BoxTable(np.full((2, 2, 2, 2), np.nan)), 10, SEED)
