@@ -306,8 +306,10 @@ def conditional_b(
 
 def pr_constraint_holds(t: BoxTable, eps: float = DEFAULT_EPS) -> bool:
     """True iff every cell with probability above ``eps`` satisfies
-    (a + b) mod 2 = x*y."""
-    return not np.any((t.p > _check_eps(eps)) & ~_PR_SUPPORT)
+    (a + b) mod 2 = x*y.  A NaN or infinite entry raises ValueError."""
+    eps = _check_eps(eps)
+    _check_finite(t)
+    return not np.any((t.p > eps) & ~_PR_SUPPORT)
 
 
 def to_json(t: BoxTable) -> str:

@@ -28,15 +28,15 @@ compared so any stored row can be recomputed exactly; it is metadata and
 is not serialized.
 
 Party swap: exchanging x<->y and a<->b turns party B into party A, so each
-check is written once, for A, over the whole (2, 2, 2, 2) array.  A B-side
-witness is the A-side witness of the swapped table with its cell mapped
-back by (x, y, a, b) -> (y, x, b, a), which also moves the -1 slot.
+check is one comparison, for A, over a (side, x, y, a, b) stack of the table
+and its party swap, and one builder makes every verdict from it: a side-1
+("B") cell maps back by (x, y, a, b) -> (y, x, b, a), which also moves the
+-1 slot, and one sort puts the witnesses in (x, y, a, b, side) order.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -55,10 +55,6 @@ class Witness:
 
     def as_row(self) -> list:
         return [self.x, self.y, self.a, self.b, self.lhs, self.rhs]
-
-
-def _ordered(witnesses: list[Witness]) -> tuple[Witness, ...]:
-    return tuple(sorted(witnesses, key=lambda w: (w.x, w.y, w.a, w.b, w.side)))
 
 
 @dataclass(frozen=True)
@@ -81,34 +77,38 @@ class Verdict:
         }
 
 
-def _sides(t: BoxTable) -> Iterator[tuple[np.ndarray, str, Callable[..., tuple]]]:
-    """(table, side, index map) for party A, then for party B as party A of
-    the swapped table, whose cells map back by (x, y, a, b) -> (y, x, b, a).
-    A NaN or infinite entry raises ValueError before the first side."""
+def _stack(t: BoxTable) -> np.ndarray:
+    """The (side, x, y, a, b) stack of the table and its party swap; a NaN
+    or infinite entry raises ValueError first."""
     _check_finite(t)
-    yield t.p, "A", lambda x, y, a, b: (x, y, a, b)
-    yield _swap(t).p, "B", lambda x, y, a, b: (y, x, b, a)
+    return np.array((t.p, _swap(t).p))
 
 
 def _conditional(p: np.ndarray, eps: float) -> np.ndarray:
-    """P(A=a | x, y; B=b) at every cell; NaN where P(B=b | x, y) <= eps."""
-    mb = p.sum(2, keepdims=True)
+    """P(A=a | x, y; B=b) over the last two axes; NaN where P(B=b | x, y) <= eps."""
+    mb = p.sum(-2, keepdims=True)
     return np.divide(p, mb, out=np.full_like(p, np.nan), where=mb > eps)
 
 
-def _hits(
-    lhs: np.ndarray, rhs: np.ndarray, eps: float, key: Callable[..., tuple], side: str
-) -> list[Witness]:
-    """A witness at each index where lhs and rhs differ by more than eps;
-    ``key`` maps the index to the witness cell.  NaN cells never hit."""
-    lhs, rhs = np.broadcast_arrays(lhs, rhs)
-    hit = np.nonzero(np.abs(lhs - rhs) > eps)
-    return [
-        Witness(*key(*index), left, right, side)
-        for index, left, right in zip(
-            zip(*(i.tolist() for i in hit)), lhs[hit].tolist(), rhs[hit].tolist()
-        )
-    ]
+def _verdict(
+    lhs: np.ndarray, rhs: np.ndarray, eps: float, sides: tuple[str, ...] = ("A", "B")
+) -> Verdict:
+    """Verdict on lhs = rhs, two (side, x, y, a, b) stacks of one shape, with
+    a witness at each cell differing by more than eps (NaN never does):
+    a setting axis of length one holds the lhs context 0, an outcome axis of
+    length one the -1 slot, side-1 cells map back by (x, y, a, b) ->
+    (y, x, b, a), and witnesses come sorted by (x, y, a, b, side)."""
+    differs = np.abs(lhs - rhs) > eps
+    hit = np.nonzero(differs)
+    if not hit[0].size:
+        return Verdict(True)
+    side, cells = hit[0], np.array(hit[1:])
+    cells[2:][np.array(differs.shape[3:]) == 1] = -1
+    cells = np.where(side == 1, cells[[1, 0, 3, 2]], cells)
+    order = np.lexsort((side, *cells[::-1]))
+    lhs, rhs = lhs[hit][order].tolist(), rhs[hit][order].tolist()
+    labels = [sides[s] for s in side[order].tolist()]
+    return Verdict(False, tuple(map(Witness, *cells[:, order].tolist(), lhs, rhs, labels)))
 
 
 def no_signaling(t: BoxTable, eps: float = DEFAULT_EPS) -> Verdict:
@@ -118,11 +118,8 @@ def no_signaling(t: BoxTable, eps: float = DEFAULT_EPS) -> Verdict:
     B-side: P(B=b | x, y) equal for x=0 and x=1 at every (y, b).
     """
     eps = _check_eps(eps)
-    witnesses: list[Witness] = []
-    for p, side, cell in _sides(t):
-        ma = p.sum(3)
-        witnesses += _hits(ma[:, 0], ma[:, 1], eps, lambda x, a: cell(x, 0, a, -1), side)
-    return Verdict(not witnesses, _ordered(witnesses))
+    ma = _stack(t).sum(-1, keepdims=True)
+    return _verdict(ma[:, :, :1], ma[:, :, 1:], eps)
 
 
 def parameter_independence(t: BoxTable, eps: float = DEFAULT_EPS) -> Verdict:
@@ -141,10 +138,8 @@ def outcome_independence(t: BoxTable, eps: float = DEFAULT_EPS) -> Verdict:
     skipped.
     """
     eps = _check_eps(eps)
-    witnesses: list[Witness] = []
-    for p, side, cell in _sides(t):
-        witnesses += _hits(_conditional(p, eps), p.sum(3, keepdims=True), eps, cell, side)
-    return Verdict(not witnesses, _ordered(witnesses))
+    p = _stack(t)
+    return _verdict(_conditional(p, eps), p.sum(-1, keepdims=True).repeat(2, -1), eps)
 
 
 def bell_factorizable(t: BoxTable, eps: float = DEFAULT_EPS) -> Verdict:
@@ -161,11 +156,10 @@ def bell_factorizable(t: BoxTable, eps: float = DEFAULT_EPS) -> Verdict:
 
 def _factorizable(t: BoxTable, eps: float, ns: Verdict) -> Verdict:
     if not ns.holds:
-        return Verdict(False, ns.witnesses)
+        return ns
     ma, mb = t.p.sum(3)[:, 0], t.p.sum(2)[0]
     product = ma[:, None, :, None] * mb[None, :, None, :]
-    witnesses = _hits(t.p, product, eps, lambda *cell: cell, "AB")
-    return Verdict(not witnesses, _ordered(witnesses))
+    return _verdict(t.p[None], product[None], eps, ("AB",))
 
 
 def conditioned_dependence(t: BoxTable, eps: float = DEFAULT_EPS) -> Verdict:
@@ -178,11 +172,8 @@ def conditioned_dependence(t: BoxTable, eps: float = DEFAULT_EPS) -> Verdict:
     outcome, which the plain marginal test cannot see.
     """
     eps = _check_eps(eps)
-    witnesses: list[Witness] = []
-    for p, side, cell in _sides(t):
-        c = _conditional(p, eps)
-        witnesses += _hits(c[:, 0], c[:, 1], eps, lambda x, a, b: cell(x, 0, a, b), side)
-    return Verdict(not witnesses, _ordered(witnesses))
+    c = _conditional(_stack(t), eps)
+    return _verdict(c[:, :, :1], c[:, :, 1:], eps)
 
 
 @dataclass(frozen=True)
@@ -194,15 +185,7 @@ class LocalityReport:
     conditioned_parameter_dependence: Verdict
 
     def as_dict(self) -> dict:
-        return {
-            "no_signaling": self.no_signaling.as_dict(),
-            "outcome_independence": self.outcome_independence.as_dict(),
-            "parameter_independence": self.parameter_independence.as_dict(),
-            "bell_factorizable": self.bell_factorizable.as_dict(),
-            "conditioned_parameter_dependence": (
-                self.conditioned_parameter_dependence.as_dict()
-            ),
-        }
+        return {f.name: getattr(self, f.name).as_dict() for f in fields(self)}
 
 
 def locality_report(t: BoxTable, eps: float = DEFAULT_EPS) -> LocalityReport:

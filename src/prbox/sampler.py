@@ -45,6 +45,18 @@ class SampleRecord:
     lambda_value: int | None = None
 
 
+def _int64(values: object, name: str) -> np.ndarray:
+    """An int64 copy of ``values``; ValueError at the first entry the cast
+    would change (a fraction, NaN, inf or a value out of range)."""
+    raw = np.asarray(values)
+    with np.errstate(invalid="ignore"):
+        cast = raw.astype(np.int64)
+    changed = cast != raw
+    if np.any(changed):
+        raise ValueError(f"{name} must be integers, got {raw[changed].tolist()[0]!r}")
+    return cast
+
+
 @dataclass(frozen=True, eq=False)
 class EmpiricalTable:
     """Outcome counts per setting pair from a seeded run."""
@@ -54,8 +66,8 @@ class EmpiricalTable:
     seed: int
 
     def __post_init__(self) -> None:
-        counts = np.array(self.counts, dtype=np.int64)
-        trials = np.array(self.trials_per_setting, dtype=np.int64)
+        counts = _int64(self.counts, "counts")
+        trials = _int64(self.trials_per_setting, "trials")
         if counts.shape != (2, 2, 2, 2):
             raise ValueError(f"counts must have shape (2, 2, 2, 2), got {counts.shape}")
         if trials.shape != (2, 2):
@@ -186,7 +198,9 @@ class ComparisonResult:
 
 def compare(e: EmpiricalTable, t: BoxTable) -> ComparisonResult:
     """L-infinity distance between empirical frequencies and exact
-    probabilities, with signed per-cell deltas (frequency minus exact)."""
+    probabilities, with signed per-cell deltas (frequency minus exact).
+    A NaN or infinite entry of ``t`` raises ValueError."""
+    _check_finite(t)
     deltas = e.frequencies() - t.p
     per_cell = {
         (x, y, a, b): float(deltas[x, y, a, b]) for x, y, a, b in np.ndindex(2, 2, 2, 2)

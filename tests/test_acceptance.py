@@ -8,9 +8,11 @@ failure).  Run with::
 
 import json
 import math
+import os
 import subprocess
 import sys
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 
@@ -149,10 +151,12 @@ def test_criterion_8_statistical_consistency():
 
 
 def _run_cli(args):
+    src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run(
         [sys.executable, "-m", "prbox", *args],
         capture_output=True,
         check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
     )
     return proc.stdout
 

@@ -107,6 +107,12 @@ class TestPrBox:
                 assert (a + b) % 2 == x * y
         assert pr_constraint_holds(box)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_constraint_rejects_non_finite(self, value):
+        # nan > eps and -inf > eps are False, so such a table would pass unchecked
+        with pytest.raises(ValueError, match="non-finite"):
+            pr_constraint_holds(BoxTable(np.full((2, 2, 2, 2), value)))
+
     def test_table_is_immutable(self):
         box = pr_box()
         with pytest.raises(ValueError):

@@ -281,14 +281,17 @@ class TestWitnessIntegrity:
             for witness in verdict.witnesses:
                 assert self.recompute(box, name, witness, eps) == (witness.lhs, witness.rhs)
 
-    def test_witnesses_sorted_lexicographically(self):
+    @given(sparse_tables(), EPSILONS)
+    @settings(max_examples=150, deadline=None)
+    def test_witnesses_sorted_lexicographically(self, box, eps):
         for verdict in [
             outcome_independence(pr_box()),
             bell_factorizable(pr_box()),
             no_signaling(hv_box(0.1)),
+            *(fn(box, eps) for _, fn in CHECKS),
         ]:
             keys = [(w.x, w.y, w.a, w.b, w.side) for w in verdict.witnesses]
-            assert keys == sorted(keys)
+            assert all(k < k_next for k, k_next in zip(keys, keys[1:])), keys
 
 
 def swap_witness(w):

@@ -175,6 +175,21 @@ class TestTableValidation:
         with pytest.raises(ValueError):
             EmpiricalTable(counts, np.zeros((2, 2), dtype=np.int64), seed=0)
 
+    @pytest.mark.parametrize("value", [1.9, np.nan, np.inf, 2.0**63])
+    @pytest.mark.parametrize("field", ["counts", "trials"])
+    def test_non_integer_entries_rejected(self, field, value):
+        # an int64 cast would truncate 1.9 to 1 and turn the others into garbage
+        counts = np.full((2, 2, 2, 2), 1.0)
+        trials = np.full((2, 2), 4.0)
+        (counts if field == "counts" else trials)[0, 0] = value
+        with pytest.raises(ValueError, match=f"{field} must be integers"):
+            EmpiricalTable(counts, trials, seed=0)
+
+    def test_integral_floats_accepted(self):
+        table = EmpiricalTable(np.full((2, 2, 2, 2), 1.0), np.full((2, 2), 4.0), seed=0)
+        assert table.counts.dtype == np.int64
+        assert table.trials_per_setting.tolist() == [[4, 4], [4, 4]]
+
     def test_trials_must_be_positive_in_samplers(self):
         with pytest.raises(ValueError):
             sample_box(pr_box(), 0, SEED)
@@ -290,3 +305,11 @@ class TestNonFiniteTables:
     def test_all_nan_rejected(self, sample):
         with pytest.raises(ValueError, match="non-finite"):
             sample(BoxTable(np.full((2, 2, 2, 2), np.nan)), 10, SEED)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_compare_rejected(self, value):
+        table = sample_box(pr_box(), 10, SEED)
+        p = pr_box().p.copy()
+        p[1, 0, 0, 1] = value
+        with pytest.raises(ValueError, match=r"non-finite entry at \(x=1, y=0, a=0, b=1\)"):
+            compare(table, BoxTable(p, "bad"))
