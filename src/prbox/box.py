@@ -267,9 +267,9 @@ def convex_mix(
     return BoxTable(p, label)
 
 
-def _swap(t: BoxTable) -> BoxTable:
-    """The party-swapped table: x<->y and a<->b, so B's quantities become A's."""
-    return BoxTable(t.p.transpose(1, 0, 3, 2), t.label)
+def _swap(p: np.ndarray) -> np.ndarray:
+    """Party swap x<->y, a<->b of tables (..., 2, 2, 2, 2): B's quantities become A's."""
+    return p.swapaxes(-4, -3).swapaxes(-2, -1)
 
 
 def marginal_a(t: BoxTable, x: int, y: int, a: int) -> float:
@@ -279,7 +279,7 @@ def marginal_a(t: BoxTable, x: int, y: int, a: int) -> float:
 
 def marginal_b(t: BoxTable, x: int, y: int, b: int) -> float:
     """P(B=b | x, y): :func:`marginal_a` of the party-swapped table."""
-    return marginal_a(_swap(t), *_check_bits(y=y, x=x, b=b))
+    return marginal_a(BoxTable(_swap(t.p)), *_check_bits(y=y, x=x, b=b))
 
 
 def conditional(
@@ -301,7 +301,7 @@ def conditional_b(
     t: BoxTable, x: int, y: int, a: int, b: int, eps: float = DEFAULT_EPS
 ) -> float | None:
     """P(B=b | x, y; A=a): :func:`conditional` of the party-swapped table."""
-    return conditional(_swap(t), *_check_bits(y=y, x=x, b=b, a=a), eps)
+    return conditional(BoxTable(_swap(t.p)), *_check_bits(y=y, x=x, b=b, a=a), eps)
 
 
 def pr_constraint_holds(t: BoxTable, eps: float = DEFAULT_EPS) -> bool:
@@ -309,7 +309,12 @@ def pr_constraint_holds(t: BoxTable, eps: float = DEFAULT_EPS) -> bool:
     (a + b) mod 2 = x*y.  A NaN or infinite entry raises ValueError."""
     eps = _check_eps(eps)
     _check_finite(t)
-    return not np.any((t.p > eps) & ~_PR_SUPPORT)
+    return not _off_support(t.p, eps)
+
+
+def _off_support(p: np.ndarray, eps: float) -> np.ndarray:
+    """Per table (..., 2, 2, 2, 2): has it a cell above eps off (a + b) mod 2 = x*y?"""
+    return ((p > eps) & ~_PR_SUPPORT).any((-4, -3, -2, -1))
 
 
 def to_json(t: BoxTable) -> str:

@@ -199,6 +199,9 @@ def _cmd_sample(args: argparse.Namespace) -> str:
     )
 
 
+_MAX_GRID_POINTS = 10**6
+
+
 def _parse_grid(text: str) -> list[float]:
     parts = text.split(":")
     if len(parts) != 3:
@@ -212,13 +215,13 @@ def _parse_grid(text: str) -> list[float]:
     if step <= 0:
         raise ValueError(f"grid step must be positive, got {step}")
     values = []
-    k = 0
-    while True:
+    for k in range(_MAX_GRID_POINTS + 1):
         value = round(start + k * step, 12)
         if value > stop + step * 1e-9:
             break
         values.append(value)
-        k += 1
+    else:
+        raise ValueError(f"grid {text!r} has more than {_MAX_GRID_POINTS} points")
     if not values:
         raise ValueError(f"grid {text!r} contains no points")
     return values

@@ -1,14 +1,14 @@
 """Deterministic hidden-variable models over a binary shared variable.
 
 A model is a pair of total response functions (x, y, lambda) -> outcome
-plus a distribution over lambda in {0, 1}.  The canonical nonlocal model
-uses a = (x + lambda) mod 2 and b = (x + lambda - x*y) mod 2, whose
-outputs satisfy a xor b = x*y for every input triple, so its lambda
+plus a distribution over lambda in {0, 1}; its observable box is the
+p0/p1-weighted sum of its one-hot lambda-conditioned boxes.  The canonical
+nonlocal model uses a = (x + lambda) mod 2 and b = (x + lambda - x*y) mod 2,
+whose outputs satisfy a xor b = x*y for every input triple, so its lambda
 average saturates the CHSH combination at 4 for *every* lambda
 distribution.  Only the balanced distribution (p0 = 1/2) reproduces the
-canonical no-signaling table; any other weighting leaks the remote
-setting into B's observable marginal, which :func:`lambda_sweep` reports
-rather than hides.
+canonical no-signaling table; any other weighting leaks the remote setting
+into B's observable marginal, which :func:`lambda_sweep` reports.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ from typing import Callable
 
 import numpy as np
 
-from .box import DEFAULT_EPS, BoxTable, pr_constraint_holds, _check_eps
-from .chsh import chsh_value
-from .locality import Verdict, no_signaling
+from .box import DEFAULT_EPS, BoxTable, _check_eps, _off_support
+from .chsh import _chsh_s
+from .locality import Verdict, _pairs, _verdict
 
 # Truth-table row order: y varies slowest, then x, then lambda.
 TRUTH_TABLE_ORDER: tuple[tuple[int, int, int], ...] = (
@@ -35,9 +35,7 @@ TRUTH_TABLE_ORDER: tuple[tuple[int, int, int], ...] = (
     (1, 1, 1),
 )
 
-# x, y and lambda of the 8 input triples, in (x, y, lambda) order.
-_TRIPLES = np.indices((2, 2, 2)).reshape(3, 8)
-_TRIPLES.setflags(write=False)
+_CELL_TABLES = np.eye(4).reshape(4, 2, 2)  # row 2a + b is one-hot at (a, b)
 
 
 @dataclass(frozen=True)
@@ -79,7 +77,8 @@ class HVModel:
     when they ignore an argument; actual dependence is discovered by
     :func:`hv_dependence` instead of being encoded in the type.  They are
     called only on construction, which tabulates them as the read-only
-    ``responses[party, x, y, lambda]`` (party 0 is A) that all readers use.
+    ``responses[party, x, y, lambda]`` (party 0 is A) that all readers use
+    and the one-hot lambda-conditioned boxes ``_boxes[lambda, x, y, a, b]``.
     """
 
     respond_a: Callable[[int, int, int], int]
@@ -87,6 +86,7 @@ class HVModel:
     dist: LambdaDist
     label: str = ""
     responses: np.ndarray = field(init=False, repr=False, compare=False)
+    _boxes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         responses = np.empty((2, 2, 2, 2), dtype=np.int64)
@@ -98,8 +98,10 @@ class HVModel:
                         f"{name}({x}, {y}, {lam}) must be 0 or 1, got {out!r}"
                     )
                 responses[party, x, y, lam] = out
-        responses.setflags(write=False)
-        object.__setattr__(self, "responses", responses)
+        boxes = _CELL_TABLES[(2 * responses[0] + responses[1]).transpose(2, 0, 1)]
+        for name, table in ("responses", responses), ("_boxes", boxes):
+            table.setflags(write=False)
+            object.__setattr__(self, name, table)
 
 
 def pr_hv_model(dist: LambdaDist) -> HVModel:
@@ -129,14 +131,14 @@ def truth_table_csv(m: HVModel) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _average(m: HVModel, p0: float | np.ndarray, p1: float | np.ndarray) -> np.ndarray:
+    """p0 * box(lambda=0) + p1 * box(lambda=1), tables (..., 2, 2, 2, 2)."""
+    return np.multiply.outer(p0, m._boxes[0]) + np.multiply.outer(p1, m._boxes[1])
+
+
 def hv_to_box(m: HVModel) -> BoxTable:
-    """Marginalize the hidden variable into an observable box table; the
-    weights are added unbuffered, in (x, y, lambda) order."""
-    x, y, lam = _TRIPLES
-    p = np.zeros((2, 2, 2, 2))
-    weights = np.array([m.dist.p0, m.dist.p1])[lam]
-    np.add.at(p, (x, y, *m.responses[:, x, y, lam]), weights)
-    return BoxTable(p, m.label or "hv")
+    """Marginalize the hidden variable into an observable box table."""
+    return BoxTable(_average(m, m.dist.p0, m.dist.p1), m.label or "hv")
 
 
 @dataclass(frozen=True)
@@ -181,22 +183,16 @@ def lambda_sweep(
 ) -> list[SweepPoint]:
     """Evaluate the canonical model across lambda distributions.
 
-    For each distribution: build the model, marginalize to a box, compute
-    the CHSH combination, test no-signaling, and check the defining
-    relation on all positive-probability cells.  The relation and the
-    CHSH value come out identical for every distribution; the no-signaling
-    verdict does not, and is reported as found.
+    The boxes are one array of the canonical model's lambda averages, and
+    one call each gives every CHSH combination, every check of the defining
+    relation on positive-probability cells, and every no-signaling
+    comparison.  Only the no-signaling verdict differs between
+    distributions, and it is reported as found.
     """
     eps = _check_eps(eps)
-    points = []
-    for dist in distributions:
-        box = hv_to_box(pr_hv_model(dist))
-        points.append(
-            SweepPoint(
-                dist=dist,
-                chsh=chsh_value(box).s,
-                no_signaling=no_signaling(box, eps),
-                constraint_ok=pr_constraint_holds(box, eps),
-            )
-        )
-    return points
+    p0, p1 = np.array([(d.p0, d.p1) for d in distributions]).reshape(-1, 2).T
+    family = _average(pr_hv_model(LambdaDist(0.5, 0.5)), p0, p1)
+    lhs, rhs = (q.swapaxes(0, 1) for q in next(_pairs(family, eps)))
+    ns = map(_verdict, lhs, rhs, [eps] * len(p0))
+    ok = (~_off_support(family, eps)).tolist()
+    return list(map(SweepPoint, distributions, _chsh_s(family)[1].tolist(), ns, ok))

@@ -28,15 +28,17 @@ compared so any stored row can be recomputed exactly; it is metadata and
 is not serialized.
 
 Party swap: exchanging x<->y and a<->b turns party B into party A, so each
-check is one comparison, for A, over a (side, x, y, a, b) stack of the table
-and its party swap, and one builder makes every verdict from it: a side-1
-("B") cell maps back by (x, y, a, b) -> (y, x, b, a), which also moves the
--1 slot, and one sort puts the witnesses in (x, y, a, b, side) order.
+check is one comparison, for A, over a (side, ..., x, y, a, b) stack of
+tables and their party swaps, built once per report or batch; one builder
+makes every verdict, mapping a side-1 ("B") cell back by (x, y, a, b) ->
+(y, x, b, a), -1 slot included, and sorting by (x, y, a, b, side).
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, fields
+from itertools import islice
 
 import numpy as np
 
@@ -77,17 +79,27 @@ class Verdict:
         }
 
 
-def _stack(t: BoxTable) -> np.ndarray:
-    """The (side, x, y, a, b) stack of the table and its party swap; a NaN
-    or infinite entry raises ValueError first."""
+_HOLDS = Verdict(True)  # frozen, so every holding verdict can be this one
+
+
+def _pairs(p: np.ndarray, eps: float) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(lhs, rhs) of no-signaling, conditioned dependence, then outcome independence,
+    each computed when read, as (side, ..., x, y, a, b) stacks over tables
+    (..., 2, 2, 2, 2); a conditional on P(B=b | x, y) <= eps is NaN."""
+    p = np.array((p, _swap(p)))
+    ma = p.sum(-1, keepdims=True)
+    yield ma[..., :1, :, :], ma[..., 1:, :, :]
+    mb = _swap(ma[::-1])  # P(B=b | x, y) is the other side's marginal
+    c = p / np.where(mb > eps, mb, np.nan)
+    yield c[..., :1, :, :], c[..., 1:, :, :]
+    yield c, ma.repeat(2, -1)
+
+
+def _table_verdict(t: BoxTable, eps: float, k: int) -> Verdict:
+    """The verdict on the k-th of one checked table's :func:`_pairs`."""
+    eps = _check_eps(eps)
     _check_finite(t)
-    return np.array((t.p, _swap(t).p))
-
-
-def _conditional(p: np.ndarray, eps: float) -> np.ndarray:
-    """P(A=a | x, y; B=b) over the last two axes; NaN where P(B=b | x, y) <= eps."""
-    mb = p.sum(-2, keepdims=True)
-    return np.divide(p, mb, out=np.full_like(p, np.nan), where=mb > eps)
+    return _verdict(*next(islice(_pairs(t.p, eps), k, None)), eps)
 
 
 def _verdict(
@@ -101,7 +113,7 @@ def _verdict(
     differs = np.abs(lhs - rhs) > eps
     hit = np.nonzero(differs)
     if not hit[0].size:
-        return Verdict(True)
+        return _HOLDS
     side, cells = hit[0], np.array(hit[1:])
     cells[2:][np.array(differs.shape[3:]) == 1] = -1
     cells = np.where(side == 1, cells[[1, 0, 3, 2]], cells)
@@ -117,9 +129,7 @@ def no_signaling(t: BoxTable, eps: float = DEFAULT_EPS) -> Verdict:
     A-side: P(A=a | x, y) equal for y=0 and y=1 at every (x, a).
     B-side: P(B=b | x, y) equal for x=0 and x=1 at every (y, b).
     """
-    eps = _check_eps(eps)
-    ma = _stack(t).sum(-1, keepdims=True)
-    return _verdict(ma[:, :, :1], ma[:, :, 1:], eps)
+    return _table_verdict(t, eps, 0)
 
 
 def parameter_independence(t: BoxTable, eps: float = DEFAULT_EPS) -> Verdict:
@@ -137,9 +147,7 @@ def outcome_independence(t: BoxTable, eps: float = DEFAULT_EPS) -> Verdict:
     Cells whose conditioning outcome has zero probability are vacuous and
     skipped.
     """
-    eps = _check_eps(eps)
-    p = _stack(t)
-    return _verdict(_conditional(p, eps), p.sum(-1, keepdims=True).repeat(2, -1), eps)
+    return _table_verdict(t, eps, 2)
 
 
 def bell_factorizable(t: BoxTable, eps: float = DEFAULT_EPS) -> Verdict:
@@ -150,8 +158,7 @@ def bell_factorizable(t: BoxTable, eps: float = DEFAULT_EPS) -> Verdict:
     Otherwise each cell is compared against marginal_a(x, 0, a) *
     marginal_b(0, y, b).
     """
-    eps = _check_eps(eps)
-    return _factorizable(t, eps, no_signaling(t, eps))
+    return _factorizable(t, _check_eps(eps), no_signaling(t, eps))
 
 
 def _factorizable(t: BoxTable, eps: float, ns: Verdict) -> Verdict:
@@ -171,9 +178,7 @@ def conditioned_dependence(t: BoxTable, eps: float = DEFAULT_EPS) -> Verdict:
     setting dependence that survives after conditioning on the remote
     outcome, which the plain marginal test cannot see.
     """
-    eps = _check_eps(eps)
-    c = _conditional(_stack(t), eps)
-    return _verdict(c[:, :, :1], c[:, :, 1:], eps)
+    return _table_verdict(t, eps, 1)
 
 
 @dataclass(frozen=True)
@@ -189,13 +194,14 @@ class LocalityReport:
 
 
 def locality_report(t: BoxTable, eps: float = DEFAULT_EPS) -> LocalityReport:
-    """Run all five analyses on one table, checking no-signaling once."""
+    """Run all five analyses on one table from one pass of :func:`_pairs`."""
     eps = _check_eps(eps)
-    ns = no_signaling(t, eps)
+    _check_finite(t)
+    ns, cd, oi = (_verdict(*pair, eps) for pair in _pairs(t.p, eps))
     return LocalityReport(
         no_signaling=ns,
-        outcome_independence=outcome_independence(t, eps),
+        outcome_independence=oi,
         parameter_independence=ns,
         bell_factorizable=_factorizable(t, eps, ns),
-        conditioned_parameter_dependence=conditioned_dependence(t, eps),
+        conditioned_parameter_dependence=cd,
     )

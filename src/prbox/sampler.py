@@ -50,7 +50,10 @@ def _int64(values: object, name: str) -> np.ndarray:
     would change (a fraction, NaN, inf or a value out of range)."""
     raw = np.asarray(values)
     with np.errstate(invalid="ignore"):
-        cast = raw.astype(np.int64)
+        try:
+            cast = raw.astype(np.int64)
+        except OverflowError:
+            raise ValueError(f"{name} must be int64 integers, got {values!r}") from None
     changed = cast != raw
     if np.any(changed):
         raise ValueError(f"{name} must be integers, got {raw[changed].tolist()[0]!r}")
@@ -106,7 +109,7 @@ class EmpiricalTable:
 
 
 def _check_trials(trials_per_setting: int) -> int:
-    trials = int(trials_per_setting)
+    trials = int(_int64(trials_per_setting, "trials_per_setting"))
     if trials < 1:
         raise ValueError(f"trials_per_setting must be >= 1, got {trials_per_setting}")
     return trials

@@ -12,7 +12,7 @@ from prbox import (
     pr_box,
     pr_hv_model,
 )
-from prbox.cli import BoxSpecError, _json_dumps, main, parse_box_spec
+from prbox.cli import BoxSpecError, _json_dumps, _parse_grid, main, parse_box_spec
 from prbox.hidden_variable import truth_table_csv
 
 
@@ -239,6 +239,30 @@ class TestExitCodes:
     def test_bad_grid_is_3(self, capsys):
         code, _, _ = run(capsys, "sweep", "--grid", "0:1")
         assert code == 3
+
+    @pytest.mark.parametrize("grid", ["0:1:1e-300", "0:1e300:1"])
+    def test_unbounded_grid_is_3(self, capsys, grid):
+        code, out, err = run(capsys, "sweep", "--grid", grid)
+        assert code == 3
+        assert out == ""
+        assert "more than 1000000 points" in err
+
+    def test_grid_bound_is_exact(self):
+        assert len(_parse_grid("0:999999:1")) == 10**6
+        with pytest.raises(ValueError, match="more than"):
+            _parse_grid("0:1000000:1")
+
+    @pytest.mark.parametrize(
+        "grid", ["0:1:0.25", "0:1:0.1", "0.05:0.95:0.05", "-1:1:0.3", "0:1:0.001", "2:2:1"]
+    )
+    def test_grid_values_unchanged(self, grid):
+        # the grid rule as it stood before the point bound
+        start, stop, step = (float(v) for v in grid.split(":"))
+        expected, k = [], 0
+        while (value := round(start + k * step, 12)) <= stop + step * 1e-9:
+            expected.append(value)
+            k += 1
+        assert repr(_parse_grid(grid)) == repr(expected)
 
     def test_csv_rejected_for_json_only_commands(self):
         with pytest.raises(SystemExit) as err:

@@ -4,12 +4,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prbox import (
+    DEFAULT_EPS,
+    BoxTable,
     HVModel,
     LambdaDist,
+    SweepPoint,
+    chsh_value,
     correlation,
     hv_dependence,
     hv_to_box,
     lambda_sweep,
+    no_signaling,
     pr_box,
     pr_constraint_holds,
     pr_hv_model,
@@ -36,17 +41,33 @@ GOLDEN_CSV = "x,y,lambda,a,b\n" + "\n".join(
 ) + "\n"
 
 
-def oracle_lambda_average(p0):
+CANONICAL = (lambda x, y, lam: (x + lam) % 2, lambda x, y, lam: (x + lam - x * y) % 2)
+
+# Response sets other than the canonical model's, as (respond_a, respond_b).
+OTHER_RESPONSES = [
+    (lambda x, y, lam: lam, lambda x, y, lam: lam ^ (x & y)),
+    (lambda x, y, lam: x ^ y, lambda x, y, lam: 1 - lam),
+    (lambda x, y, lam: x & lam, lambda x, y, lam: y | lam),
+    (lambda x, y, lam: 0, lambda x, y, lam: 1),
+]
+
+
+def oracle_lambda_average(p0, responses=CANONICAL, p1=None):
     """Independent marginalization: weight each lambda row directly."""
-    dist = (p0, 1.0 - p0)
+    dist = (p0, 1.0 - p0 if p1 is None else p1)
+    respond_a, respond_b = responses
     p = np.zeros((2, 2, 2, 2))
     for x in (0, 1):
         for y in (0, 1):
             for lam in (0, 1):
-                a = (x + lam) % 2
-                b = (x + lam - x * y) % 2
+                a = respond_a(x, y, lam)
+                b = respond_b(x, y, lam)
                 p[x, y, a, b] += dist[lam]
     return p
+
+
+# p0 values at and just past both ends of the range LambdaDist accepts.
+EDGE_P0 = [-DEFAULT_EPS / 2, 0.0, 0.5, 1.0, 1 + DEFAULT_EPS / 2]
 
 
 class TestLambdaDist:
@@ -194,6 +215,17 @@ class TestHvToBox:
         assert validate(box).ok
         assert pr_constraint_holds(box)
 
+    @given(
+        p0=st.one_of(st.sampled_from(EDGE_P0), st.floats(0.0, 1.0)),
+        responses=st.sampled_from([CANONICAL, *OTHER_RESPONSES]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_oracle_exactly(self, p0, responses):
+        box = hv_to_box(HVModel(*responses, LambdaDist.from_p0(p0)))
+        oracle = oracle_lambda_average(p0, responses)
+        assert np.array_equal(box.p, oracle)
+        assert box.p.tobytes() == oracle.tobytes()
+
     def test_correlation_matches_direct_lambda_average(self):
         # oracle: E(x, y) = sum_lambda P(lambda) * sign(a) * sign(b)
         for p0 in (0.0, 0.25, 0.5, 0.9, 1.0):
@@ -249,6 +281,27 @@ class TestLambdaSweep:
         assert not by_p0[0.0].no_signaling.holds
         assert not by_p0[0.3].no_signaling.holds
         assert not by_p0[1.0].no_signaling.holds
+
+    @pytest.mark.parametrize("eps", [1e-9, 1e-3, 0.2])
+    def test_equals_per_point_reference(self, eps):
+        # each point alone: oracle box, then chsh_value, no_signaling and
+        # pr_constraint_holds, as the sweep is defined
+        p0s = [*EDGE_P0, 0.25, 0.4999, 0.5001, 0.7, 1 / 3, *np.linspace(0, 1, 41)]
+        dists = [LambdaDist.from_p0(p0) for p0 in p0s]
+        dists += [LambdaDist(0.5, 0.5), LambdaDist(1e-10, 1.0), LambdaDist(1, 0)]
+        reference = []
+        for dist in dists:
+            box = BoxTable(oracle_lambda_average(dist.p0, p1=dist.p1))
+            reference.append(
+                SweepPoint(
+                    dist,
+                    chsh_value(box).s,
+                    no_signaling(box, eps),
+                    pr_constraint_holds(box, eps),
+                )
+            )
+        assert repr(lambda_sweep(dists, eps)) == repr(reference)
+        assert lambda_sweep([], eps) == []
 
     def test_row_serialization(self):
         (point,) = lambda_sweep([LambdaDist.from_p0(0.3)])

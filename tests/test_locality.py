@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_box, random_local_mixture, random_product_box
+from prbox import locality as locality_module
 from prbox import (
     BoxTable,
     LambdaDist,
@@ -342,6 +343,19 @@ class TestVerdictAndReport:
         assert report["outcome_independence"]["status"] == "violated"
         for row in report["outcome_independence"]["witnesses"]:
             assert len(row) == 6
+
+    def test_report_checks_finiteness_once(self, monkeypatch):
+        calls = []
+        check = locality_module._check_finite
+
+        def counted(t):
+            calls.append(t)
+            return check(t)
+
+        monkeypatch.setattr(locality_module, "_check_finite", counted)
+        box = pr_box()
+        locality_report(box)
+        assert calls == [box]
 
     def test_report_decomposition_invariant(self):
         for box in [pr_box(), uniform_box(), *all_deterministic_boxes()]:

@@ -190,9 +190,43 @@ class TestTableValidation:
         assert table.counts.dtype == np.int64
         assert table.trials_per_setting.tolist() == [[4, 4], [4, 4]]
 
+    def test_out_of_range_python_ints_rejected(self):
+        counts = np.zeros((2, 2, 2, 2), dtype=np.int64)
+        with pytest.raises(ValueError, match="trials must be int64 integers"):
+            EmpiricalTable(counts, [[2**70, 0], [0, 0]], seed=0)
+
     def test_trials_must_be_positive_in_samplers(self):
         with pytest.raises(ValueError):
             sample_box(pr_box(), 0, SEED)
+
+
+SAMPLERS = [
+    (sample_box, pr_box()),
+    (sample_box_records, pr_box()),
+    (sample_hv, pr_hv_model(LambdaDist.from_p0(0.3))),
+    (sample_hv_records, pr_hv_model(LambdaDist.from_p0(0.3))),
+]
+SAMPLER_IDS = ["box", "box_records", "hv", "hv_records"]
+
+
+class TestTrialCounts:
+    """Trials per setting go through the same int64 rule as EmpiricalTable:
+    a value the cast would change is refused instead of truncated."""
+
+    @pytest.mark.parametrize("trials", [2.9, 1.5, np.nan, np.inf, 2**70])
+    @pytest.mark.parametrize("sample, obj", SAMPLERS, ids=SAMPLER_IDS)
+    def test_non_integral_rejected(self, sample, obj, trials):
+        with pytest.raises(ValueError, match="trials_per_setting must be"):
+            sample(obj, trials, SEED)
+
+    @pytest.mark.parametrize("sample, obj", SAMPLERS, ids=SAMPLER_IDS)
+    def test_integral_float_accepted(self, sample, obj):
+        got, expected = sample(obj, 3.0, SEED), sample(obj, 3, SEED)
+        if isinstance(expected, EmpiricalTable):
+            assert np.array_equal(got.counts, expected.counts)
+            assert np.array_equal(got.trials_per_setting, expected.trials_per_setting)
+        else:
+            assert got == expected
 
 
 class TestCsvEmission:

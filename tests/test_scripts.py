@@ -53,3 +53,16 @@ def test_tsirelson_random_search():
 )
 def test_scan_scripts_run(name, args, header):
     assert run_script(name, *args).splitlines()[0] == header
+
+
+@pytest.mark.parametrize("steps", [21, 41])
+def test_lambda_sweep_rows(steps):
+    header, *rows = run_script("lambda_sweep_experiment.py", "--steps", str(steps)).splitlines()
+    assert header == "p0,chsh,constraint_ok,no_signaling,max_marginal_leak"
+    assert len(rows) == steps
+    for row in rows:
+        p0, chsh, constraint_ok, status, leak = row.split(",")
+        assert (chsh, constraint_ok) == ("4.000000", "True")
+        assert status == ("holds" if p0 == "0.5000" else "violated")
+        # B's y = 0 marginal moves from p0 to p1 = 1 - p0 when x flips
+        assert leak == f"{abs(2 * float(p0) - 1):.6f}"
