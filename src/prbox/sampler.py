@@ -2,23 +2,28 @@
 
 Reproducibility contract: streams come from the Philox 4x64 counter-based
 generator (numpy's implementation of the published algorithm), keyed by
-(seed mod 2**64, setting-pair index 2x + y).  Each setting pair owns an
-independent stream, so per-pair sampling may run concurrently and still
-reproduce the sequential result bit for bit.  One trial consumes one
-double u in [0, 1), and boxes and models share one draw: an inverse CDF
-over ordered segments of [0, 1), whose index is the number of interior
-boundaries c with u >= c.  A box's segments are its four (a, b) cells in
-lexicographic order (boundaries at the cumulative sums of P(a, b | x, y),
-negative entries clipped to 0); a hidden-variable model's are lambda = 0
-and 1 (one boundary at p0), whose tabulated responses then give (a, b).
-Counts and records are two views of the same draw, so identical (input,
-trials, seed) yield identical tables and records.
+(seed mod 2**64, setting-pair index 2x + y) for an int seed.  Each setting
+pair owns an independent stream, so per-pair sampling may run concurrently
+and still reproduce the sequential result bit for bit.  One trial consumes
+one double u in [0, 1), drawn in chunks of ``_CHUNK`` so memory stays
+bounded; Philox output does not depend on how it is split into calls.
+Boxes and models share one draw: an inverse CDF over ordered segments of
+[0, 1), whose index is the number of interior boundaries c with u >= c.  A
+box's segments are its four (a, b) cells in lexicographic order
+(boundaries at the cumulative sums of P(a, b | x, y), negative entries
+clipped to 0); a hidden-variable model's are lambda = 0 and 1 (one
+boundary at p0), whose tabulated responses then give (a, b).  The
+boundaries never decrease, so counts tally #(u >= c) per boundary and take
+segment counts as differences, labelling no trial; records index the 48
+shared frozen records by segment, and ``records_to_csv`` looks up their
+lines by identity.  Counts and records are two views of the same draw, so
+identical (input, trials, seed) yield identical tables and records.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -115,44 +120,62 @@ def _check_trials(trials_per_setting: int) -> int:
     return trials
 
 
-def _pair_stream(seed: int, x: int, y: int) -> np.random.Generator:
-    key = np.array([int(seed) % 2**64, 2 * x + y], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+_CHUNK = 1 << 14
+
+# Every record a run can yield, [pair 2x + y, lambda None/0/1, cell 2a + b].
+_RECORDS = np.array(
+    [SampleRecord(*xy, *ab, lam) for xy in SETTING_PAIRS for lam in (None, 0, 1)
+     for ab in np.ndindex(2, 2)],
+    dtype=object,
+).reshape(4, 3, 4)
+
+
+def _line(r: SampleRecord) -> str:
+    return f"{r.x},{r.y},{'' if r.lambda_value is None else r.lambda_value!s},{r.a},{r.b}"
+
+
+_LINES = {id(r): _line(r) for r in _RECORDS.flat}
 
 
 def _draw(obj: BoxTable | HVModel, trials: int, seed: int) -> Iterator[tuple]:
-    """(x, y, cells 2a + b, lambdas or None for a box) of ``trials`` draws,
-    one setting pair at a time in ``SETTING_PAIRS`` order."""
-    model = isinstance(obj, HVModel)
-    if model:
-        bounds = np.full((2, 2, 1), obj.dist.p0)
-        cells_by_lambda = 2 * obj.responses[0] + obj.responses[1]
+    """Per setting pair in ``SETTING_PAIRS`` order: (interior boundaries,
+    shared records of the segments, chunks of u)."""
+    try:  # an int of any size; 1.5, NaN or "7" would silently mislabel a stream
+        key = operator.index(seed) % 2**64
+    except TypeError:
+        raise ValueError(f"seed must be an integer, got {seed!r}") from None
+    if isinstance(obj, HVModel):
+        bounds = np.full((4, 1), obj.dist.p0)
+        cells = (2 * obj.responses[0] + obj.responses[1]).reshape(4, 2)
+        shared = _RECORDS[np.arange(4)[:, None], [1, 2], cells]
     else:
         _check_finite(obj)
         # The fourth boundary is 1, above every u in [0, 1), so it is left out.
-        bounds = np.cumsum(np.clip(obj.p.reshape(2, 2, 4), 0.0, None), axis=2)[..., :3]
-    for x, y in SETTING_PAIRS:
-        u = _pair_stream(seed, x, y).random(trials)
-        k = np.zeros(trials, dtype=np.int64)
-        for c in bounds[x, y]:
-            k += u >= c
-        yield (x, y, cells_by_lambda[x, y][k], k) if model else (x, y, k, None)
+        bounds = np.cumsum(np.clip(obj.p.reshape(4, 4), 0.0, None), axis=1)[:, :3]
+        shared = _RECORDS[:, 0]
+    for pair in range(4):
+        philox = np.random.Philox(key=np.array([key, pair], dtype=np.uint64))
+        sizes = (min(_CHUNK, trials - i) for i in range(0, trials, _CHUNK))
+        yield bounds[pair], shared[pair], map(np.random.Generator(philox).random, sizes)
 
 
 def _counts(obj: BoxTable | HVModel, trials: int, seed: int) -> EmpiricalTable:
     trials = _check_trials(trials)
     counts = np.zeros((2, 2, 2, 2), dtype=np.int64)
-    for x, y, cells, _ in _draw(obj, trials, seed):
-        counts[x, y] = np.bincount(cells, minlength=4).reshape(2, 2)
+    for bounds, shared, chunks in _draw(obj, trials, seed):
+        tails = np.zeros(len(bounds), dtype=np.int64)  # #(u >= c) per boundary c
+        for u in chunks:
+            tails += [np.count_nonzero(u >= c) for c in bounds.tolist()]
+        for r, n in zip(shared, -np.diff(tails, prepend=trials, append=0)):
+            counts[r.x, r.y, r.a, r.b] += n
     return EmpiricalTable(counts, np.full((2, 2), trials), seed)
 
 
 def _records(obj: BoxTable | HVModel, trials: int, seed: int) -> list[SampleRecord]:
     records: list[SampleRecord] = []
-    for x, y, cells, lambdas in _draw(obj, _check_trials(trials), seed):
-        a, b = (cells >> 1).tolist(), (cells & 1).tolist()
-        lams = repeat(None) if lambdas is None else lambdas.tolist()
-        records += map(SampleRecord, repeat(x), repeat(y), a, b, lams)
+    for bounds, shared, chunks in _draw(obj, _check_trials(trials), seed):
+        for u in chunks:  # side="right" counts the boundaries c <= u
+            records += shared[np.searchsorted(bounds, u, side="right")].tolist()
     return records
 
 
@@ -181,11 +204,11 @@ def sample_hv_records(
 
 def records_to_csv(records: Iterable[SampleRecord]) -> str:
     """Record-level dump; the lambda column is blank for box sampling."""
-    lines = ["x,y,lambda,a,b"]
-    for r in records:
-        lam = "" if r.lambda_value is None else str(r.lambda_value)
-        lines.append(f"{r.x},{r.y},{lam},{r.a},{r.b}")
-    return "\n".join(lines) + "\n"
+    records = list(records)
+    lines = list(map(_LINES.get, map(id, records)))
+    if None in lines:  # records built by the caller are formatted one by one
+        lines = [line or _line(r) for line, r in zip(lines, records)]
+    return "\n".join(["x,y,lambda,a,b", *lines]) + "\n"
 
 
 def empirical_chsh(e: EmpiricalTable) -> ChshResult:

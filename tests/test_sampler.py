@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prbox import (
     BoxTable,
@@ -21,6 +25,7 @@ from prbox import (
     sample_hv_records,
     uniform_box,
 )
+from prbox import sampler
 from prbox.sampler import SETTING_PAIRS, SampleRecord
 
 SEED = 20260810
@@ -347,3 +352,158 @@ class TestNonFiniteTables:
         p[1, 0, 0, 1] = value
         with pytest.raises(ValueError, match=r"non-finite entry at \(x=1, y=0, a=0, b=1\)"):
             compare(table, BoxTable(p, "bad"))
+
+
+class TestSeeds:
+    """A seed is an int of any size, taken mod 2**64; anything else would
+    draw one stream and label the table with another value."""
+
+    @pytest.mark.parametrize("seed", [1.5, np.nan, np.inf, "7", 2.0, np.float64(3.0)])
+    @pytest.mark.parametrize("sample, obj", SAMPLERS, ids=SAMPLER_IDS)
+    def test_non_integer_rejected(self, sample, obj, seed):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            sample(obj, 50, seed)
+
+    @pytest.mark.parametrize(
+        "seed, same",
+        [(-5, 2**64 - 5), (2**64 + 3, 3), (np.int64(-5), -5), (np.uint64(2**64 - 1), -1),
+         (np.int8(7), 7), (2**200 + 11, 2**200 % 2**64 + 11)],
+    )
+    @pytest.mark.parametrize("sample, obj", SAMPLERS, ids=SAMPLER_IDS)
+    def test_integers_keep_their_mod_2_64_meaning(self, sample, obj, seed, same):
+        got, expected = sample(obj, 40, seed), sample(obj, 40, same)
+        if isinstance(expected, EmpiricalTable):
+            assert np.array_equal(got.counts, expected.counts)
+            assert got.seed is seed
+        else:
+            assert got == expected
+
+
+CHUNK = sampler._CHUNK
+OTHER_MODEL = PARITY_INPUTS[-1]
+# a sparse, noisy table (three boundaries, clipped cells) and a model whose
+# responses differ from the canonical ones
+CHUNK_INPUTS = [_parity_boxes()[-1], OTHER_MODEL]
+
+
+def _views(obj, trials, seed):
+    """Counts, records repr and records CSV of one run."""
+    model = isinstance(obj, HVModel)
+    table = (sample_hv if model else sample_box)(obj, trials, seed)
+    records = (sample_hv_records if model else sample_box_records)(obj, trials, seed)
+    return table.counts.tolist(), repr(records), records_to_csv(records)
+
+
+class TestChunking:
+    """Philox output does not depend on how it is split into calls, so the
+    chunk size changes no output bit."""
+
+    @pytest.mark.parametrize("chunk", [7, 1])
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 + 3, -5])
+    def test_bit_identical_to_the_default_chunk(self, monkeypatch, chunk, seed):
+        for trials in (1, 17, 1000, CHUNK - 1, CHUNK, CHUNK + 1):
+            for obj in CHUNK_INPUTS:
+                expected = _views(obj, trials, seed)
+                with monkeypatch.context() as patch:
+                    patch.setattr(sampler, "_CHUNK", chunk)
+                    assert _views(obj, trials, seed) == expected, (obj.label, trials)
+
+
+class TestBoundedMemory:
+    @pytest.mark.parametrize(
+        "sample, obj",
+        [(sample_box, pr_box()), (sample_hv, pr_hv_model(LambdaDist.from_p0(0.3)))],
+        ids=["box", "hv"],
+    )
+    def test_peak_stays_small_at_a_million_trials(self, sample, obj):
+        # tracemalloc sees numpy's buffers; one int64 label per trial was 32 MB
+        tracemalloc.start()
+        try:
+            sample(obj, 1_000_000, SEED)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+
+@st.composite
+def sparse_boxes(draw):
+    """Tables with zero cells, then +-1e-11 noise so that entries sit just
+    below 0 (clipped) and sums just off 1."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = rng.random((2, 2, 2, 2)) * (rng.random((2, 2, 2, 2)) < draw(st.floats(0.2, 1.0)))
+    p[..., draw(st.integers(0, 1)), draw(st.integers(0, 1))] += 1e-3
+    p /= p.sum(axis=(2, 3), keepdims=True)
+    p += rng.choice([-1e-11, 0.0, 1e-11], size=p.shape)
+    return BoxTable(p, "sparse")
+
+
+EPS = 1e-9
+P0S = st.sampled_from([0.0, 1.0, -EPS / 2, 1 + EPS / 2]) | st.floats(0.0, 1.0)
+
+
+def _model(p0, canonical):
+    dist = LambdaDist.from_p0(p0)
+    if canonical:
+        return pr_hv_model(dist)
+    return HVModel(OTHER_MODEL.respond_a, OTHER_MODEL.respond_b, dist, "other")
+
+
+MODELS = st.builds(_model, P0S, st.booleans())
+SEEDS = st.integers(-(2**70), 2**70)
+
+
+def _recount(records):
+    counts = np.zeros((2, 2, 2, 2), dtype=np.int64)
+    for r in records:
+        counts[r.x, r.y, r.a, r.b] += 1
+    return counts
+
+
+class TestViewParity:
+    @given(sparse_boxes(), st.integers(1, 300), SEEDS)
+    @settings(max_examples=80, deadline=None)
+    def test_box_counts_recount_the_records(self, box, trials, seed):
+        records = sample_box_records(box, trials, seed)
+        assert np.array_equal(sample_box(box, trials, seed).counts, _recount(records))
+
+    @given(MODELS, st.integers(1, 300), SEEDS)
+    @settings(max_examples=80, deadline=None)
+    def test_hv_counts_recount_the_records(self, model, trials, seed):
+        records = sample_hv_records(model, trials, seed)
+        assert np.array_equal(sample_hv(model, trials, seed).counts, _recount(records))
+        for r in records:
+            assert r.a == model.respond_a(r.x, r.y, r.lambda_value)
+            assert r.b == model.respond_b(r.x, r.y, r.lambda_value)
+
+
+def reference_csv(records):
+    lines = ["x,y,lambda,a,b"]
+    for r in records:
+        lam = "" if r.lambda_value is None else r.lambda_value
+        lines.append(f"{r.x},{r.y},{lam},{r.a},{r.b}")
+    return "\n".join(lines) + "\n"
+
+
+BITS = st.integers(-3, 5) | st.booleans()
+OWN_RECORDS = st.builds(
+    SampleRecord, BITS, BITS, BITS, BITS, st.none() | st.sampled_from([0, 1]) | st.integers()
+)
+
+
+class TestRecordCsv:
+    @given(st.lists(OWN_RECORDS, max_size=30), st.integers(0, 50))
+    @settings(max_examples=150, deadline=None)
+    def test_caller_records_format_like_the_reference(self, own, shared):
+        records = sample_hv_records(OTHER_MODEL, 5, shared)[:shared] + own
+        records += sample_box_records(pr_box(), 3, shared)
+        assert records_to_csv(records) == reference_csv(records)
+        assert records_to_csv(iter(records)) == reference_csv(records)
+
+    def test_equal_records_keep_their_own_text(self):
+        # SampleRecord(True, ...) == SampleRecord(1, ...), yet it prints True
+        shared = sample_box_records(deterministic_local_box((1, 1), (1, 1)), 1, SEED)
+        own = [SampleRecord(True, True, True, True), SampleRecord(1, 1, 1, 1, np.int64(1))]
+        assert own[0] == shared[-1]
+        assert records_to_csv(own + shared) == reference_csv(own + shared)
+        assert records_to_csv([]) == "x,y,lambda,a,b\n"
