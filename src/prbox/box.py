@@ -146,6 +146,9 @@ class ValidationResult:
         return not self.issues
 
 
+_VALID = ValidationResult(())  # frozen, so every valid table can share it
+
+
 def validate(t: BoxTable, eps: float = DEFAULT_EPS) -> ValidationResult:
     """Check normalization per setting pair and entrywise range.
 
@@ -155,6 +158,8 @@ def validate(t: BoxTable, eps: float = DEFAULT_EPS) -> ValidationResult:
     """
     eps = _check_eps(eps)
     totals = t.p.sum(axis=(2, 3))
+    if (np.abs(totals - 1.0) <= eps).all() and ((t.p >= -eps) & (t.p <= 1.0 + eps)).all():
+        return _VALID  # one mask test; NaN fails both comparisons
     issues = [
         ValidationIssue("normalization", int(x), int(y), None, None, float(totals[x, y]))
         for x, y in np.argwhere(np.abs(totals - 1.0) > eps)
@@ -317,8 +322,14 @@ def _off_support(p: np.ndarray, eps: float) -> np.ndarray:
     return ((p > eps) & ~_PR_SUPPORT).any((-4, -3, -2, -1))
 
 
+# json.dumps(t.to_dict(), indent=2) with each entry a %s slot: the C encoder writes
+# the label and the 16 floats as the indented encoder would.
+_JSON = json.dumps({"label": "%s", "p": [[[["%s"] * 2] * 2] * 2] * 2}, indent=2)
+_JSON = _JSON.replace('"%s"', "%s")
+
+
 def to_json(t: BoxTable) -> str:
-    return json.dumps(t.to_dict(), indent=2)
+    return _JSON % (json.dumps(t.label), *json.dumps(t.p.ravel().tolist())[1:-1].split(", "))
 
 
 def from_json(text: str, eps: float = DEFAULT_EPS) -> BoxTable:

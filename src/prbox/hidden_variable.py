@@ -14,6 +14,7 @@ into B's observable marginal, which :func:`lambda_sweep` reports.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from .box import DEFAULT_EPS, BoxTable, _check_eps, _off_support
 from .chsh import _chsh_s
-from .locality import Verdict, _pairs, _verdict
+from .locality import _NO_SIGNALING, Verdict, _verdicts
 
 # Truth-table row order: y varies slowest, then x, then lambda.
 TRUTH_TABLE_ORDER: tuple[tuple[int, int, int], ...] = (
@@ -179,7 +180,7 @@ class SweepPoint:
 
 
 def lambda_sweep(
-    distributions: list[LambdaDist], eps: float = DEFAULT_EPS
+    distributions: Iterable[LambdaDist], eps: float = DEFAULT_EPS
 ) -> list[SweepPoint]:
     """Evaluate the canonical model across lambda distributions.
 
@@ -190,9 +191,9 @@ def lambda_sweep(
     distributions, and it is reported as found.
     """
     eps = _check_eps(eps)
+    distributions = list(distributions)  # read twice, so an iterator is read once here
     p0, p1 = np.array([(d.p0, d.p1) for d in distributions]).reshape(-1, 2).T
     family = _average(pr_hv_model(LambdaDist(0.5, 0.5)), p0, p1)
-    lhs, rhs = (q.swapaxes(0, 1) for q in next(_pairs(family, eps)))
-    ns = map(_verdict, lhs, rhs, [eps] * len(p0))
+    ns = _verdicts(family, eps, _NO_SIGNALING)
     ok = (~_off_support(family, eps)).tolist()
     return list(map(SweepPoint, distributions, _chsh_s(family)[1].tolist(), ns, ok))

@@ -27,11 +27,13 @@ does not enter the comparison holds -1.  ``Witness.side`` ("A", "B", or
 compared so any stored row can be recomputed exactly; it is metadata and
 is not serialized.
 
-Party swap: exchanging x<->y and a<->b turns party B into party A, so each
-check is one comparison, for A, over a (side, ..., x, y, a, b) stack of
-tables and their party swaps, built once per report or batch; one builder
-makes every verdict, mapping a side-1 ("B") cell back by (x, y, a, b) ->
-(y, x, b, a), -1 slot included, and sorting by (x, y, a, b, side).
+Party swap and witness plan: exchanging x<->y and a<->b turns party B into
+party A, so each check compares A's quantities over a (side, x, y, a, b)
+stack of a table and its party swap.  A plan built at import fixes where each
+compared cell lands (a side-1 "B" cell maps back by (x, y, a, b) -> (y, x, b, a),
+-1 slot included; cells sort by (x, y, a, b, side)) and its Witness template;
+a report makes one comparison of its 72 cells in plan order and splits the
+hits at the check boundaries, and a batch of tables takes the same path.
 """
 
 from __future__ import annotations
@@ -82,45 +84,77 @@ class Verdict:
 _HOLDS = Verdict(True)  # frozen, so every holding verdict can be this one
 
 
-def _pairs(p: np.ndarray, eps: float) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(lhs, rhs) of no-signaling, conditioned dependence, then outcome independence,
-    each computed when read, as (side, ..., x, y, a, b) stacks over tables
-    (..., 2, 2, 2, 2); a conditional on P(B=b | x, y) <= eps is NaN."""
-    p = np.array((p, _swap(p)))
+def _quantities(p: np.ndarray, eps: float) -> Iterator[np.ndarray]:
+    """For tables (..., 2, 2, 2, 2), flat and each computed when read: marginals
+    P(A=a | x, y) of tables and party swaps, the tables, products P(A=a | x, 0)
+    P(B=b | 0, y), and conditionals P(A=a | x, y; B=b), NaN if P(B=b | x, y) <= eps."""
+    p = np.stack((p, _swap(p)), -5)  # (..., side, x, y, a, b)
+    n = p.size // 32
     ma = p.sum(-1, keepdims=True)
-    yield ma[..., :1, :, :], ma[..., 1:, :, :]
-    mb = _swap(ma[::-1])  # P(B=b | x, y) is the other side's marginal
-    c = p / np.where(mb > eps, mb, np.nan)
-    yield c[..., :1, :, :], c[..., 1:, :, :]
-    yield c, ma.repeat(2, -1)
+    yield ma.reshape(n, 16)
+    yield p[..., 0, :, :, :, :].reshape(n, 16)
+    mb = _swap(ma[..., ::-1, :, :, :, :])  # P(B=b | x, y) is the other side's marginal
+    yield (ma[..., 0, :, :1, :, :] * mb[..., 0, :1, :, :, :]).reshape(n, 16)
+    yield (p / np.where(mb > eps, mb, np.nan)).reshape(n, 32)
 
 
-def _table_verdict(t: BoxTable, eps: float, k: int) -> Verdict:
-    """The verdict on the k-th of one checked table's :func:`_pairs`."""
+# (lhs, rhs) positions in the flat quantities, as (side, x, y, a, b) stacks, of
+# no-signaling, conditioned dependence, outcome independence and factorizability
+_STARTS = (16, 32, 48)  # of the tables, products and conditionals
+_MA, _P, _PRODUCT, _C = np.split(np.arange(80).reshape(5, 2, 2, 2, 2), (1, 2, 3))
+_MA = _MA.reshape(2, 2, 2, 2, 1)
+_COMPARISONS = ((_MA[:, :, :1], _MA[:, :, 1:]), (_C[:, :, :1], _C[:, :, 1:]),
+                (_C, _MA.repeat(2, -1)), (_P, _PRODUCT))
+
+
+def _plan(*checks: int) -> tuple:
+    """The chosen comparisons one after another, each in witness order: (lhs
+    positions, rhs positions, Witness field templates, check ends, quantities read)."""
+    positions, templates, ends = [], [], []
+    for lhs, rhs in map(_COMPARISONS.__getitem__, checks):
+        cells = np.indices(lhs.shape).reshape(5, -1)  # side, x, y, a, b
+        cells[3:][np.array(lhs.shape[3:]) == 1] = -1
+        side, cells = cells[0], np.where(cells[0] == 1, cells[[2, 1, 4, 3]], cells[1:])
+        order = np.lexsort((side, *cells[::-1]))
+        positions.append((lhs.ravel()[order], rhs.ravel()[order]))
+        names = np.array(("A", "B") if len(lhs) == 2 else ("AB",))[side[order]].tolist()
+        templates += [dict(x=x, y=y, a=a, b=b, lhs=None, rhs=None, side=s)
+                      for x, y, a, b, s in zip(*cells[:, order].tolist(), names)]
+        ends.append(len(templates))
+    lhs_at, rhs_at = map(np.concatenate, zip(*positions))
+    reads = np.searchsorted(_STARTS, max(lhs_at.max(), rhs_at.max()), "right") + 1
+    return lhs_at, rhs_at, templates, np.array(ends), reads
+
+
+_REPORT, _NO_SIGNALING, _FACTORIZABLE = _plan(0, 1, 2, 3), _plan(0), _plan(0, 3)
+_CONDITIONED, _OUTCOME = _plan(1), _plan(2)
+
+
+def _verdicts(p: np.ndarray, eps: float, plan: tuple) -> list[Verdict]:
+    """The plan's verdicts on tables (..., 2, 2, 2, 2), checks varying fastest: a
+    witness at each cell differing by more than eps (NaN never does)."""
+    lhs_at, rhs_at, templates, ends, reads = plan
+    values = np.concatenate([*islice(_quantities(p, eps), reads)], -1)
+    lhs, rhs = values[:, lhs_at].ravel(), values[:, rhs_at].ravel()
+    hits = np.flatnonzero(np.abs(lhs - rhs) > eps)
+    witnesses, m = [], len(templates)
+    if not hits.size:
+        return [_HOLDS] * (lhs.size // m * len(ends))
+    cells = (hits % m).tolist()
+    for cell, left, right in zip(cells, lhs[hits].tolist(), rhs[hits].tolist()):
+        w = object.__new__(Witness)  # frozen: fill its field dict, in field order
+        (attrs := w.__dict__).update(templates[cell])
+        attrs["lhs"], attrs["rhs"] = left, right
+        witnesses.append(w)
+    stops = hits.searchsorted((np.arange(0, lhs.size, m)[:, None] + ends).ravel()).tolist()
+    spans = zip([0, *stops], stops)
+    return [Verdict(False, tuple(witnesses[i:j])) if j > i else _HOLDS for i, j in spans]
+
+
+def _table_verdicts(t: BoxTable, eps: float, plan: tuple) -> list[Verdict]:
     eps = _check_eps(eps)
     _check_finite(t)
-    return _verdict(*next(islice(_pairs(t.p, eps), k, None)), eps)
-
-
-def _verdict(
-    lhs: np.ndarray, rhs: np.ndarray, eps: float, sides: tuple[str, ...] = ("A", "B")
-) -> Verdict:
-    """Verdict on lhs = rhs, two (side, x, y, a, b) stacks of one shape, with
-    a witness at each cell differing by more than eps (NaN never does):
-    a setting axis of length one holds the lhs context 0, an outcome axis of
-    length one the -1 slot, side-1 cells map back by (x, y, a, b) ->
-    (y, x, b, a), and witnesses come sorted by (x, y, a, b, side)."""
-    differs = np.abs(lhs - rhs) > eps
-    hit = np.nonzero(differs)
-    if not hit[0].size:
-        return _HOLDS
-    side, cells = hit[0], np.array(hit[1:])
-    cells[2:][np.array(differs.shape[3:]) == 1] = -1
-    cells = np.where(side == 1, cells[[1, 0, 3, 2]], cells)
-    order = np.lexsort((side, *cells[::-1]))
-    lhs, rhs = lhs[hit][order].tolist(), rhs[hit][order].tolist()
-    labels = [sides[s] for s in side[order].tolist()]
-    return Verdict(False, tuple(map(Witness, *cells[:, order].tolist(), lhs, rhs, labels)))
+    return _verdicts(t.p, eps, plan)
 
 
 def no_signaling(t: BoxTable, eps: float = DEFAULT_EPS) -> Verdict:
@@ -129,7 +163,7 @@ def no_signaling(t: BoxTable, eps: float = DEFAULT_EPS) -> Verdict:
     A-side: P(A=a | x, y) equal for y=0 and y=1 at every (x, a).
     B-side: P(B=b | x, y) equal for x=0 and x=1 at every (y, b).
     """
-    return _table_verdict(t, eps, 0)
+    return _table_verdicts(t, eps, _NO_SIGNALING)[0]
 
 
 def parameter_independence(t: BoxTable, eps: float = DEFAULT_EPS) -> Verdict:
@@ -147,7 +181,7 @@ def outcome_independence(t: BoxTable, eps: float = DEFAULT_EPS) -> Verdict:
     Cells whose conditioning outcome has zero probability are vacuous and
     skipped.
     """
-    return _table_verdict(t, eps, 2)
+    return _table_verdicts(t, eps, _OUTCOME)[0]
 
 
 def bell_factorizable(t: BoxTable, eps: float = DEFAULT_EPS) -> Verdict:
@@ -158,15 +192,8 @@ def bell_factorizable(t: BoxTable, eps: float = DEFAULT_EPS) -> Verdict:
     Otherwise each cell is compared against marginal_a(x, 0, a) *
     marginal_b(0, y, b).
     """
-    return _factorizable(t, _check_eps(eps), no_signaling(t, eps))
-
-
-def _factorizable(t: BoxTable, eps: float, ns: Verdict) -> Verdict:
-    if not ns.holds:
-        return ns
-    ma, mb = t.p.sum(3)[:, 0], t.p.sum(2)[0]
-    product = ma[:, None, :, None] * mb[None, :, None, :]
-    return _verdict(t.p[None], product[None], eps, ("AB",))
+    ns, factorizable = _table_verdicts(t, eps, _FACTORIZABLE)
+    return factorizable if ns.holds else ns
 
 
 def conditioned_dependence(t: BoxTable, eps: float = DEFAULT_EPS) -> Verdict:
@@ -178,7 +205,7 @@ def conditioned_dependence(t: BoxTable, eps: float = DEFAULT_EPS) -> Verdict:
     setting dependence that survives after conditioning on the remote
     outcome, which the plain marginal test cannot see.
     """
-    return _table_verdict(t, eps, 1)
+    return _table_verdicts(t, eps, _CONDITIONED)[0]
 
 
 @dataclass(frozen=True)
@@ -194,14 +221,6 @@ class LocalityReport:
 
 
 def locality_report(t: BoxTable, eps: float = DEFAULT_EPS) -> LocalityReport:
-    """Run all five analyses on one table from one pass of :func:`_pairs`."""
-    eps = _check_eps(eps)
-    _check_finite(t)
-    ns, cd, oi = (_verdict(*pair, eps) for pair in _pairs(t.p, eps))
-    return LocalityReport(
-        no_signaling=ns,
-        outcome_independence=oi,
-        parameter_independence=ns,
-        bell_factorizable=_factorizable(t, eps, ns),
-        conditioned_parameter_dependence=cd,
-    )
+    """Run all five analyses on one table from one comparison of its 72 cells."""
+    ns, cd, oi, factorizable = _table_verdicts(t, eps, _REPORT)
+    return LocalityReport(ns, oi, ns, factorizable if ns.holds else ns, cd)

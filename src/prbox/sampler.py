@@ -140,7 +140,9 @@ _LINES = {id(r): _line(r) for r in _RECORDS.flat}
 def _draw(obj: BoxTable | HVModel, trials: int, seed: int) -> Iterator[tuple]:
     """Per setting pair in ``SETTING_PAIRS`` order: (interior boundaries,
     shared records of the segments, chunks of u)."""
-    try:  # an int of any size; 1.5, NaN or "7" would silently mislabel a stream
+    try:  # an int of any size; True, 1.5, NaN or "7" would silently mislabel a stream
+        if isinstance(seed, (bool, np.bool_)):
+            raise TypeError
         key = operator.index(seed) % 2**64
     except TypeError:
         raise ValueError(f"seed must be an integer, got {seed!r}") from None

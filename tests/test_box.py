@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from helpers import random_box
 from prbox import (
     BoxFormatError,
     BoxTable,
+    ValidationIssue,
     all_deterministic_boxes,
     conditional,
     conditional_b,
@@ -313,3 +315,76 @@ class TestSerialization:
     def test_invalid_json_text(self):
         with pytest.raises(BoxFormatError):
             from_json("{not json")
+
+
+def reference_issues(t, eps):
+    """Validation issues by a per-cell loop, in (x, y, a, b) order, normalization first."""
+    totals = t.p.sum(axis=(2, 3))
+    issues = [
+        ValidationIssue("normalization", x, y, None, None, float(totals[x, y]))
+        for x, y in np.ndindex(2, 2)
+        if abs(totals[x, y] - 1.0) > eps
+    ]
+    for x, y, a, b in np.ndindex(2, 2, 2, 2):
+        value = float(t.p[x, y, a, b])
+        if not math.isfinite(value):
+            issues.append(ValidationIssue("non_finite", x, y, a, b, value))
+        elif value < -eps or value > 1.0 + eps:
+            issues.append(ValidationIssue("range", x, y, a, b, value))
+    return issues
+
+
+ROWS = [(0.25, 0.25, 0.25, 0.25), (1.0, 0.0, 0.0, 0.0), (0.5, 0.0, 0.0, 0.5), (0.0, 0.5, 0.5, 0.0)]
+
+
+@st.composite
+def edge_tables(draw):
+    """Tables near the validation bounds: with eps = 2**-10 every entry and sum
+    below is exact, so entries and sums land exactly on -eps, 1 + eps and 1 +- eps."""
+    eps = draw(st.sampled_from([2.0**-10, 1e-9, 0.2]))
+    nudges = [0.0, eps, -eps, 2 * eps, -2 * eps]
+    replacements = [-eps, 1.0 + eps, -2 * eps, 1.0 + 2 * eps, -0.0, 5e-324, np.nan, np.inf, -np.inf]
+    p = np.array([draw(st.sampled_from(ROWS)) for _ in range(4)]).reshape(2, 2, 2, 2)
+    for cell in np.ndindex(2, 2, 2, 2):
+        kind = draw(st.integers(0, 9))
+        if kind == 8:
+            p[cell] += draw(st.sampled_from(nudges))
+        elif kind == 9:
+            p[cell] = draw(st.sampled_from(replacements))
+    return BoxTable(p, "edge"), eps
+
+
+SPECIAL_FLOATS = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, np.nan, np.inf, -np.inf, 1e300, 0.1]
+)
+LABELS = st.text(st.sampled_from('"\\{}%s\n\t\x00\x1f\x7fé☃\U0001f600 ,:[]') | st.characters())
+
+
+class TestFastPaths:
+    """validate's shared all-clear and to_json's filled template agree with
+    the slow paths they short-cut."""
+
+    @given(edge_tables())
+    @settings(max_examples=300, deadline=None)
+    def test_validate_equals_the_loop_reference(self, table_eps):
+        table, eps = table_eps
+        result = validate(table, eps)
+        reference = reference_issues(table, eps)
+        assert repr(list(result.issues)) == repr(reference)
+        assert result.ok == (not reference)
+
+    def test_bounds_are_inclusive(self):
+        eps = 2.0**-10
+        p = np.full((2, 2, 2, 2), 0.25)
+        p[0, 0, 0, 0] += eps  # sum exactly 1 + eps
+        p[0, 1, 0, 0] -= eps  # sum exactly 1 - eps
+        p[1, 0] = [[-eps, 0.5], [0.5 - eps, 0.0]]  # -eps entry, sum 1 - 2 eps
+        p[1, 1] = [[1.0 + eps, 0.0], [-eps, 0.0]]  # 1 + eps entry, sum exactly 1
+        issues = validate(BoxTable(p), eps).issues
+        assert [(i.kind, i.x, i.y) for i in issues] == [("normalization", 1, 0)]
+
+    @given(st.lists(st.floats() | SPECIAL_FLOATS, min_size=16, max_size=16), LABELS)
+    @settings(max_examples=300, deadline=None)
+    def test_to_json_equals_the_indented_encoder(self, entries, label):
+        table = BoxTable(np.array(entries).reshape(2, 2, 2, 2), label)
+        assert to_json(table) == json.dumps(table.to_dict(), indent=2)

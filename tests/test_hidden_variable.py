@@ -282,13 +282,10 @@ class TestLambdaSweep:
         assert not by_p0[0.3].no_signaling.holds
         assert not by_p0[1.0].no_signaling.holds
 
-    @pytest.mark.parametrize("eps", [1e-9, 1e-3, 0.2])
-    def test_equals_per_point_reference(self, eps):
+    @staticmethod
+    def per_point_reference(dists, eps=DEFAULT_EPS):
         # each point alone: oracle box, then chsh_value, no_signaling and
         # pr_constraint_holds, as the sweep is defined
-        p0s = [*EDGE_P0, 0.25, 0.4999, 0.5001, 0.7, 1 / 3, *np.linspace(0, 1, 41)]
-        dists = [LambdaDist.from_p0(p0) for p0 in p0s]
-        dists += [LambdaDist(0.5, 0.5), LambdaDist(1e-10, 1.0), LambdaDist(1, 0)]
         reference = []
         for dist in dists:
             box = BoxTable(oracle_lambda_average(dist.p0, p1=dist.p1))
@@ -300,8 +297,24 @@ class TestLambdaSweep:
                     pr_constraint_holds(box, eps),
                 )
             )
+        return reference
+
+    @pytest.mark.parametrize("eps", [1e-9, 1e-3, 0.2])
+    def test_equals_per_point_reference(self, eps):
+        p0s = [*EDGE_P0, 0.25, 0.4999, 0.5001, 0.7, 1 / 3, *np.linspace(0, 1, 41)]
+        dists = [LambdaDist.from_p0(p0) for p0 in p0s]
+        dists += [LambdaDist(0.5, 0.5), LambdaDist(1e-10, 1.0), LambdaDist(1, 0)]
+        reference = self.per_point_reference(dists, eps)
         assert repr(lambda_sweep(dists, eps)) == repr(reference)
         assert lambda_sweep([], eps) == []
+
+    @pytest.mark.parametrize("container", [list, tuple, iter, lambda d: (x for x in d)],
+                             ids=["list", "tuple", "iterator", "generator"])
+    def test_any_iterable(self, container):
+        # the sweep reads its input twice; an iterator used to give []
+        dists = [LambdaDist.from_p0(p0) for p0 in (*EDGE_P0, 0.3, 0.5, 0.8)]
+        reference = self.per_point_reference(dists)
+        assert repr(lambda_sweep(container(dists))) == repr(reference)
 
     def test_row_serialization(self):
         (point,) = lambda_sweep([LambdaDist.from_p0(0.3)])

@@ -1,3 +1,6 @@
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +20,7 @@ from prbox import (
     conditional_b,
     conditioned_dependence,
     hv_to_box,
+    lambda_sweep,
     locality_report,
     marginal_a,
     marginal_b,
@@ -403,3 +407,118 @@ class TestNonFiniteTables:
     def test_message_names_the_first_bad_cell(self):
         with pytest.raises(ValueError, match=r"\(x=1, y=0, a=1, b=0\): inf"):
             locality_report(_with_entry(np.inf))
+
+
+# Reference witness builder: the run-time ordering the static plan replaces,
+# kept here as the oracle for the plan's cell order and templates.
+
+
+def reference_pairs(p, eps):
+    """(lhs, rhs) of no-signaling, conditioned dependence and outcome
+    independence as (side, ..., x, y, a, b) stacks of tables (..., 2, 2, 2, 2)."""
+    def swap(q):
+        return q.swapaxes(-4, -3).swapaxes(-2, -1)
+
+    p = np.array((p, swap(p)))
+    ma = p.sum(-1, keepdims=True)
+    mb = swap(ma[::-1])
+    c = p / np.where(mb > eps, mb, np.nan)
+    return [(ma[..., :1, :, :], ma[..., 1:, :, :]), (c[..., :1, :, :], c[..., 1:, :, :]),
+            (c, ma.repeat(2, -1))]
+
+
+def reference_verdict(lhs, rhs, eps, sides=("A", "B")):
+    differs = np.abs(lhs - rhs) > eps
+    hit = np.nonzero(differs)
+    if not hit[0].size:
+        return Verdict(True)
+    side, cells = hit[0], np.array(hit[1:])
+    cells[2:][np.array(differs.shape[3:]) == 1] = -1
+    cells = np.where(side == 1, cells[[1, 0, 3, 2]], cells)
+    order = np.lexsort((side, *cells[::-1]))
+    lhs, rhs = lhs[hit][order].tolist(), rhs[hit][order].tolist()
+    labels = [sides[s] for s in side[order].tolist()]
+    return Verdict(False, tuple(map(Witness, *cells[:, order].tolist(), lhs, rhs, labels)))
+
+
+def reference_report(box, eps):
+    ns, cd, oi = (reference_verdict(*pair, eps) for pair in reference_pairs(box.p, eps))
+    factorizable = ns
+    if ns.holds:
+        ma, mb = box.p.sum(3)[:, 0], box.p.sum(2)[0]
+        product = ma[:, None, :, None] * mb[None, :, None, :]
+        factorizable = reference_verdict(box.p[None], product[None], eps, ("AB",))
+    return LocalityReport(ns, oi, ns, factorizable, cd)
+
+
+def witness_reprs(verdict):
+    return [repr(w) for w in verdict.witnesses]
+
+
+class TestPlanParity:
+    """The static plan gives the reference builder's witnesses, in its order."""
+
+    @given(sparse_tables(), EPSILONS)
+    @settings(max_examples=200, deadline=None)
+    def test_checks_and_report_match_the_reference(self, box, eps):
+        expected = reference_report(box, eps)
+        report = locality_report(box, eps)
+        assert repr(report) == repr(expected)
+        singles = {
+            "no_signaling": no_signaling(box, eps),
+            "parameter_independence": parameter_independence(box, eps),
+            "outcome_independence": outcome_independence(box, eps),
+            "bell_factorizable": bell_factorizable(box, eps),
+            "conditioned_parameter_dependence": conditioned_dependence(box, eps),
+        }
+        for name, verdict in singles.items():
+            reference = getattr(expected, name)
+            assert verdict.holds == reference.holds, name
+            assert witness_reprs(verdict) == witness_reprs(reference), name
+            assert verdict == reference, name
+
+    @pytest.mark.parametrize("eps", [1e-9, 1e-3, 0.2])
+    def test_lambda_sweep_matches_the_reference(self, eps):
+        rng = np.random.default_rng(8)
+        p0s = [0.0, 0.5, 1.0, -eps / 2, 1 + eps / 2, *rng.random(40).tolist()]
+        if eps > 1e-9:  # LambdaDist itself allows at most DEFAULT_EPS below 0 or above 1
+            p0s[3:5] = [-1e-9 / 2, 1 + 1e-9 / 2]
+        dists = [LambdaDist.from_p0(p0) for p0 in p0s]
+        points = lambda_sweep(dists, eps)
+        for dist, point in zip(dists, points, strict=True):
+            box = hv_to_box(pr_hv_model(dist))
+            (lhs, rhs), *_ = reference_pairs(box.p, eps)
+            assert repr(point.no_signaling) == repr(reference_verdict(lhs, rhs, eps))
+
+
+class TestPlanBuiltWitnesses:
+    """Witnesses filled from a plan template are ordinary Witness objects."""
+
+    def built(self):
+        report = locality_report(pr_box())
+        signaling = no_signaling(hv_box(0.3))
+        return [*report.outcome_independence.witnesses, *report.bell_factorizable.witnesses,
+                *report.conditioned_parameter_dependence.witnesses, *signaling.witnesses]
+
+    def test_same_as_constructed(self):
+        witnesses = self.built()
+        assert {w.side for w in witnesses} == {"A", "B", "AB"}
+        for w in witnesses:
+            twin = Witness(w.x, w.y, w.a, w.b, w.lhs, w.rhs, w.side)
+            assert type(w) is Witness
+            assert repr(w) == repr(twin)
+            assert w == twin and hash(w) == hash(twin)
+            assert list(vars(w).items()) == list(vars(twin).items())
+            assert pickle.loads(pickle.dumps(w)) == twin
+            assert repr(pickle.loads(pickle.dumps(w))) == repr(twin)
+            assert dataclasses.asdict(w) == dataclasses.asdict(twin)
+            assert dataclasses.replace(w, lhs=2.0) == dataclasses.replace(twin, lhs=2.0)
+            assert w.as_row() == twin.as_row()
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                w.lhs = 0.0
+
+    def test_each_witness_owns_its_fields(self):
+        witnesses = self.built()
+        assert len({id(vars(w)) for w in witnesses}) == len(witnesses)
+        for plan in (locality_module._REPORT, locality_module._NO_SIGNALING):
+            assert all(t["lhs"] is None and t["rhs"] is None for t in plan[2])

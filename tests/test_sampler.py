@@ -364,6 +364,13 @@ class TestSeeds:
         with pytest.raises(ValueError, match="seed must be an integer"):
             sample(obj, 50, seed)
 
+    @pytest.mark.parametrize("seed", [True, False, np.True_, np.False_])
+    @pytest.mark.parametrize("sample, obj", SAMPLERS, ids=SAMPLER_IDS)
+    def test_bools_rejected(self, sample, obj, seed):
+        # bool is an int subclass, so True would draw the seed-1 stream
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            sample(obj, 50, seed)
+
     @pytest.mark.parametrize(
         "seed, same",
         [(-5, 2**64 - 5), (2**64 + 3, 3), (np.int64(-5), -5), (np.uint64(2**64 - 1), -1),
