@@ -59,6 +59,8 @@ class BoxTable:
     label: str = ""
 
     def __post_init__(self) -> None:
+        if not isinstance(self.label, str):
+            raise BoxFormatError(f"label must be a string, got {self.label!r}")
         arr = np.array(self.p, dtype=float)
         if arr.shape != (2, 2, 2, 2):
             raise BoxFormatError(
@@ -84,9 +86,6 @@ class BoxTable:
         """Rebuild a table from its JSON form, re-running validation."""
         if not isinstance(data, dict):
             raise BoxFormatError(f"expected a JSON object, got {type(data).__name__}")
-        label = data.get("label", "")
-        if not isinstance(label, str):
-            raise BoxFormatError(f"label must be a string, got {label!r}")
         if "p" not in data:
             raise BoxFormatError("missing entry table 'p'")
         try:
@@ -102,7 +101,7 @@ class BoxTable:
                 f"entry table must be nested [x][y][a][b] with two values per "
                 f"level, got shape {arr.shape}"
             )
-        table = cls(arr, label)
+        table = cls(arr, data.get("label", ""))
         result = validate(table, eps)
         if not result.ok:
             raise BoxFormatError(

@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Subcommands: build, analyze, chsh, table1, sample, sweep.  JSON is the
-default output; CSV is offered where the data is tabular (table1, sample
-counts, sample records), so only table1 and sample take ``--format``.
+Subcommands: build, analyze, chsh, table1, sample, sweep.  Output is JSON
+except where the data is tabular: table1 writes CSV unless ``--format json``,
+sample counts are JSON unless ``--format csv``, and sample records are CSV
+only, so only table1 and sample take ``--format``.
 Exit codes: 0 success, 2 box-spec grammar error or unknown constructor
 (argparse usage errors also exit 2), 3 semantic validation failure,
 including any NaN or infinite number, 4 file I/O failure.

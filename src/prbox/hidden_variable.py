@@ -22,7 +22,7 @@ import numpy as np
 
 from .box import DEFAULT_EPS, BoxTable, _check_eps, _off_support
 from .chsh import _chsh_s
-from .locality import _NO_SIGNALING, Verdict, _verdicts
+from .locality import Verdict, _verdicts
 
 # Truth-table row order: y varies slowest, then x, then lambda.
 TRUTH_TABLE_ORDER: tuple[tuple[int, int, int], ...] = (
@@ -194,6 +194,6 @@ def lambda_sweep(
     distributions = list(distributions)  # read twice, so an iterator is read once here
     p0, p1 = np.array([(d.p0, d.p1) for d in distributions]).reshape(-1, 2).T
     family = _average(pr_hv_model(LambdaDist(0.5, 0.5)), p0, p1)
-    ns = _verdicts(family, eps, _NO_SIGNALING)
+    ns = _verdicts(family, eps, checks=1)  # no-signaling is the plan's first check
     ok = (~_off_support(family, eps)).tolist()
     return list(map(SweepPoint, distributions, _chsh_s(family)[1].tolist(), ns, ok))

@@ -29,18 +29,18 @@ is not serialized.
 
 Party swap and witness plan: exchanging x<->y and a<->b turns party B into
 party A, so each check compares A's quantities over a (side, x, y, a, b)
-stack of a table and its party swap.  A plan built at import fixes where each
-compared cell lands (a side-1 "B" cell maps back by (x, y, a, b) -> (y, x, b, a),
--1 slot included; cells sort by (x, y, a, b, side)) and its Witness template;
-a report makes one comparison of its 72 cells in plan order and splits the
-hits at the check boundaries, and a batch of tables takes the same path.
+stack of a table and its party swap.  One plan built at import fixes, for
+no-signaling, conditioned dependence, outcome independence and factorizability
+in that order, where each compared cell lands (a side-1 "B" cell maps back by
+(x, y, a, b) -> (y, x, b, a), -1 slot included; cells sort by (x, y, a, b,
+side)) and its Witness template.  A report makes one comparison of its 72
+cells and splits the hits at the check boundaries; a single check reads its
+report, and a batch of tables may compare a prefix of the plan.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass, fields
-from itertools import islice
 
 import numpy as np
 
@@ -84,34 +84,29 @@ class Verdict:
 _HOLDS = Verdict(True)  # frozen, so every holding verdict can be this one
 
 
-def _quantities(p: np.ndarray, eps: float) -> Iterator[np.ndarray]:
-    """For tables (..., 2, 2, 2, 2), flat and each computed when read: marginals
-    P(A=a | x, y) of tables and party swaps, the tables, products P(A=a | x, 0)
-    P(B=b | 0, y), and conditionals P(A=a | x, y; B=b), NaN if P(B=b | x, y) <= eps."""
+def _quantities(p: np.ndarray, eps: float) -> np.ndarray:
+    """For n tables (..., 2, 2, 2, 2), flat (n, 80): marginals P(A=a | x, y) of
+    tables and party swaps, the tables, products P(A=a | x, 0) P(B=b | 0, y),
+    and conditionals P(A=a | x, y; B=b), NaN if P(B=b | x, y) <= eps."""
     p = np.stack((p, _swap(p)), -5)  # (..., side, x, y, a, b)
-    n = p.size // 32
     ma = p.sum(-1, keepdims=True)
-    yield ma.reshape(n, 16)
-    yield p[..., 0, :, :, :, :].reshape(n, 16)
     mb = _swap(ma[..., ::-1, :, :, :, :])  # P(B=b | x, y) is the other side's marginal
-    yield (ma[..., 0, :, :1, :, :] * mb[..., 0, :1, :, :, :]).reshape(n, 16)
-    yield (p / np.where(mb > eps, mb, np.nan)).reshape(n, 32)
+    product = ma[..., 0, :, :1, :, :] * mb[..., 0, :1, :, :, :]
+    c = p / np.where(mb > eps, mb, np.nan)
+    return np.concatenate((ma.reshape(-1, 16), p[..., 0, :, :, :, :].reshape(-1, 16),
+                           product.reshape(-1, 16), c.reshape(-1, 32)), -1)
 
 
-# (lhs, rhs) positions in the flat quantities, as (side, x, y, a, b) stacks, of
-# no-signaling, conditioned dependence, outcome independence and factorizability
-_STARTS = (16, 32, 48)  # of the tables, products and conditionals
-_MA, _P, _PRODUCT, _C = np.split(np.arange(80).reshape(5, 2, 2, 2, 2), (1, 2, 3))
-_MA = _MA.reshape(2, 2, 2, 2, 1)
-_COMPARISONS = ((_MA[:, :, :1], _MA[:, :, 1:]), (_C[:, :, :1], _C[:, :, 1:]),
-                (_C, _MA.repeat(2, -1)), (_P, _PRODUCT))
-
-
-def _plan(*checks: int) -> tuple:
-    """The chosen comparisons one after another, each in witness order: (lhs
-    positions, rhs positions, Witness field templates, check ends, quantities read)."""
+def _plan() -> tuple:
+    """No-signaling, conditioned dependence, outcome independence and
+    factorizability one after another, each in witness order: (lhs and rhs
+    positions in the flat quantities, Witness field templates, check ends)."""
+    ma, p, product, c = np.split(np.arange(80).reshape(5, 2, 2, 2, 2), (1, 2, 3))
+    ma = ma.reshape(2, 2, 2, 2, 1)
+    comparisons = ((ma[:, :, :1], ma[:, :, 1:]), (c[:, :, :1], c[:, :, 1:]),
+                   (c, ma.repeat(2, -1)), (p, product))
     positions, templates, ends = [], [], []
-    for lhs, rhs in map(_COMPARISONS.__getitem__, checks):
+    for lhs, rhs in comparisons:
         cells = np.indices(lhs.shape).reshape(5, -1)  # side, x, y, a, b
         cells[3:][np.array(lhs.shape[3:]) == 1] = -1
         side, cells = cells[0], np.where(cells[0] == 1, cells[[2, 1, 4, 3]], cells[1:])
@@ -121,40 +116,30 @@ def _plan(*checks: int) -> tuple:
         templates += [dict(x=x, y=y, a=a, b=b, lhs=None, rhs=None, side=s)
                       for x, y, a, b, s in zip(*cells[:, order].tolist(), names)]
         ends.append(len(templates))
-    lhs_at, rhs_at = map(np.concatenate, zip(*positions))
-    reads = np.searchsorted(_STARTS, max(lhs_at.max(), rhs_at.max()), "right") + 1
-    return lhs_at, rhs_at, templates, np.array(ends), reads
+    return (*map(np.concatenate, zip(*positions)), templates, ends)
 
 
-_REPORT, _NO_SIGNALING, _FACTORIZABLE = _plan(0, 1, 2, 3), _plan(0), _plan(0, 3)
-_CONDITIONED, _OUTCOME = _plan(1), _plan(2)
+_LHS_AT, _RHS_AT, _TEMPLATES, _ENDS = _plan()
 
 
-def _verdicts(p: np.ndarray, eps: float, plan: tuple) -> list[Verdict]:
-    """The plan's verdicts on tables (..., 2, 2, 2, 2), checks varying fastest: a
-    witness at each cell differing by more than eps (NaN never does)."""
-    lhs_at, rhs_at, templates, ends, reads = plan
-    values = np.concatenate([*islice(_quantities(p, eps), reads)], -1)
-    lhs, rhs = values[:, lhs_at].ravel(), values[:, rhs_at].ravel()
+def _verdicts(p: np.ndarray, eps: float, checks: int = 4) -> list[Verdict]:
+    """The plan's first ``checks`` verdicts on tables (..., 2, 2, 2, 2), checks
+    varying fastest: a witness at each cell differing by more than eps (NaN never does)."""
+    ends, m = _ENDS[:checks], _ENDS[checks - 1]
+    values = _quantities(p, eps)
+    lhs, rhs = values[:, _LHS_AT[:m]].ravel(), values[:, _RHS_AT[:m]].ravel()
     hits = np.flatnonzero(np.abs(lhs - rhs) > eps)
-    witnesses, m = [], len(templates)
     if not hits.size:
-        return [_HOLDS] * (lhs.size // m * len(ends))
-    cells = (hits % m).tolist()
-    for cell, left, right in zip(cells, lhs[hits].tolist(), rhs[hits].tolist()):
+        return [_HOLDS] * (lhs.size // m * checks)
+    witnesses = []
+    for cell, left, right in zip((hits % m).tolist(), lhs[hits].tolist(), rhs[hits].tolist()):
         w = object.__new__(Witness)  # frozen: fill its field dict, in field order
-        (attrs := w.__dict__).update(templates[cell])
+        (attrs := w.__dict__).update(_TEMPLATES[cell])
         attrs["lhs"], attrs["rhs"] = left, right
         witnesses.append(w)
     stops = hits.searchsorted((np.arange(0, lhs.size, m)[:, None] + ends).ravel()).tolist()
     spans = zip([0, *stops], stops)
     return [Verdict(False, tuple(witnesses[i:j])) if j > i else _HOLDS for i, j in spans]
-
-
-def _table_verdicts(t: BoxTable, eps: float, plan: tuple) -> list[Verdict]:
-    eps = _check_eps(eps)
-    _check_finite(t)
-    return _verdicts(t.p, eps, plan)
 
 
 def no_signaling(t: BoxTable, eps: float = DEFAULT_EPS) -> Verdict:
@@ -163,7 +148,7 @@ def no_signaling(t: BoxTable, eps: float = DEFAULT_EPS) -> Verdict:
     A-side: P(A=a | x, y) equal for y=0 and y=1 at every (x, a).
     B-side: P(B=b | x, y) equal for x=0 and x=1 at every (y, b).
     """
-    return _table_verdicts(t, eps, _NO_SIGNALING)[0]
+    return locality_report(t, eps).no_signaling
 
 
 def parameter_independence(t: BoxTable, eps: float = DEFAULT_EPS) -> Verdict:
@@ -172,7 +157,7 @@ def parameter_independence(t: BoxTable, eps: float = DEFAULT_EPS) -> Verdict:
     This is the same marginal condition as :func:`no_signaling`; the two
     operations return identical verdicts on every table.
     """
-    return no_signaling(t, eps)
+    return locality_report(t, eps).parameter_independence
 
 
 def outcome_independence(t: BoxTable, eps: float = DEFAULT_EPS) -> Verdict:
@@ -181,7 +166,7 @@ def outcome_independence(t: BoxTable, eps: float = DEFAULT_EPS) -> Verdict:
     Cells whose conditioning outcome has zero probability are vacuous and
     skipped.
     """
-    return _table_verdicts(t, eps, _OUTCOME)[0]
+    return locality_report(t, eps).outcome_independence
 
 
 def bell_factorizable(t: BoxTable, eps: float = DEFAULT_EPS) -> Verdict:
@@ -192,8 +177,7 @@ def bell_factorizable(t: BoxTable, eps: float = DEFAULT_EPS) -> Verdict:
     Otherwise each cell is compared against marginal_a(x, 0, a) *
     marginal_b(0, y, b).
     """
-    ns, factorizable = _table_verdicts(t, eps, _FACTORIZABLE)
-    return factorizable if ns.holds else ns
+    return locality_report(t, eps).bell_factorizable
 
 
 def conditioned_dependence(t: BoxTable, eps: float = DEFAULT_EPS) -> Verdict:
@@ -205,7 +189,7 @@ def conditioned_dependence(t: BoxTable, eps: float = DEFAULT_EPS) -> Verdict:
     setting dependence that survives after conditioning on the remote
     outcome, which the plain marginal test cannot see.
     """
-    return _table_verdicts(t, eps, _CONDITIONED)[0]
+    return locality_report(t, eps).conditioned_parameter_dependence
 
 
 @dataclass(frozen=True)
@@ -222,5 +206,7 @@ class LocalityReport:
 
 def locality_report(t: BoxTable, eps: float = DEFAULT_EPS) -> LocalityReport:
     """Run all five analyses on one table from one comparison of its 72 cells."""
-    ns, cd, oi, factorizable = _table_verdicts(t, eps, _REPORT)
+    eps = _check_eps(eps)
+    _check_finite(t)
+    ns, cd, oi, factorizable = _verdicts(t.p, eps)
     return LocalityReport(ns, oi, ns, factorizable if ns.holds else ns, cd)

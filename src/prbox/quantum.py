@@ -55,7 +55,7 @@ class TwoQubitState:
         if amp.shape != (4,):
             raise ValueError(f"state needs 4 amplitudes, got shape {amp.shape}")
         norm = float(np.sum(np.abs(amp) ** 2))
-        if abs(norm - 1.0) > 1e-9:
+        if not abs(norm - 1.0) <= 1e-9:  # NaN fails too
             raise ValueError(f"state must be normalized, got |psi|^2 = {norm}")
         amp.setflags(write=False)
         object.__setattr__(self, "amplitudes", amp)

@@ -1,0 +1,100 @@
+"""The public API, pinned: names in ``prbox.__all__`` and the parameters of
+the locality checks and the lambda sweep.  A change here is a change of the
+public interface and should be made on purpose."""
+
+import inspect
+
+import pytest
+
+import prbox
+
+PUBLIC_NAMES = [
+    "BoxFormatError",
+    "BoxTable",
+    "ChshResult",
+    "ClassicalBoundCertificate",
+    "ComparisonResult",
+    "DEFAULT_EPS",
+    "EmpiricalTable",
+    "HVDependence",
+    "HVModel",
+    "InsufficientTrialsError",
+    "LambdaDist",
+    "LocalityReport",
+    "MeasurementAngles",
+    "OPTIMAL_CHSH_ANGLES",
+    "SampleRecord",
+    "SweepPoint",
+    "TwoQubitState",
+    "ValidationIssue",
+    "ValidationResult",
+    "Verdict",
+    "Witness",
+    "all_deterministic_boxes",
+    "bell_factorizable",
+    "chsh_value",
+    "classical_bound_certificate",
+    "compare",
+    "conditional",
+    "conditional_b",
+    "conditioned_dependence",
+    "convex_mix",
+    "correlation",
+    "deterministic_local_box",
+    "empirical_chsh",
+    "from_json",
+    "hv_dependence",
+    "hv_to_box",
+    "lambda_sweep",
+    "locality_report",
+    "marginal_a",
+    "marginal_b",
+    "max_chsh_over_random_angles",
+    "no_signaling",
+    "outcome_independence",
+    "parameter_independence",
+    "pr_box",
+    "pr_constraint_holds",
+    "pr_hv_model",
+    "records_to_csv",
+    "sample_box",
+    "sample_box_records",
+    "sample_hv",
+    "sample_hv_records",
+    "signed_outcome",
+    "singlet",
+    "singlet_box",
+    "to_json",
+    "truth_table",
+    "truth_table_csv",
+    "uniform_box",
+    "validate",
+]
+
+EMPTY = inspect.Parameter.empty
+CHECK = [("t", EMPTY), ("eps", 1e-9)]
+SIGNATURES = {
+    "no_signaling": CHECK,
+    "parameter_independence": CHECK,
+    "outcome_independence": CHECK,
+    "bell_factorizable": CHECK,
+    "conditioned_dependence": CHECK,
+    "locality_report": CHECK,
+    "lambda_sweep": [("distributions", EMPTY), ("eps", 1e-9)],
+}
+
+
+def test_public_names_are_pinned():
+    assert len(set(prbox.__all__)) == len(prbox.__all__)
+    assert sorted(prbox.__all__) == PUBLIC_NAMES
+
+
+def test_every_public_name_resolves():
+    assert [name for name in prbox.__all__ if not hasattr(prbox, name)] == []
+
+
+@pytest.mark.parametrize("name", sorted(SIGNATURES))
+def test_signature_is_pinned(name):
+    parameters = inspect.signature(getattr(prbox, name)).parameters.values()
+    assert [(p.name, p.default) for p in parameters] == SIGNATURES[name]
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in parameters)

@@ -308,6 +308,13 @@ class TestSerialization:
         with pytest.raises(BoxFormatError, match="JSON numbers"):
             BoxTable.from_dict({"p": table})
 
+    @pytest.mark.parametrize("label", [None, ["a"], 3], ids=["none", "list", "int"])
+    def test_non_string_label_rejected(self, label):
+        with pytest.raises(BoxFormatError, match="label must be a string"):
+            BoxTable(pr_box().p, label)
+        with pytest.raises(BoxFormatError, match="label must be a string"):
+            BoxTable.from_dict({"label": label, "p": pr_box().p.tolist()})
+
     def test_missing_table_rejected(self):
         with pytest.raises(BoxFormatError):
             BoxTable.from_dict({"label": "no table"})
@@ -388,3 +395,10 @@ class TestFastPaths:
     def test_to_json_equals_the_indented_encoder(self, entries, label):
         table = BoxTable(np.array(entries).reshape(2, 2, 2, 2), label)
         assert to_json(table) == json.dumps(table.to_dict(), indent=2)
+
+    @given(LABELS)
+    @settings(max_examples=200, deadline=None)
+    def test_string_labels_survive_the_round_trip(self, label):
+        again = from_json(to_json(BoxTable(pr_box().p, label)))
+        assert again.label == label
+        assert np.array_equal(again.p, pr_box().p)

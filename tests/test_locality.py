@@ -520,5 +520,12 @@ class TestPlanBuiltWitnesses:
     def test_each_witness_owns_its_fields(self):
         witnesses = self.built()
         assert len({id(vars(w)) for w in witnesses}) == len(witnesses)
-        for plan in (locality_module._REPORT, locality_module._NO_SIGNALING):
-            assert all(t["lhs"] is None and t["rhs"] is None for t in plan[2])
+        assert all(t["lhs"] is None and t["rhs"] is None for t in locality_module._TEMPLATES)
+
+    @given(st.lists(sparse_tables(), min_size=1, max_size=6), EPSILONS)
+    @settings(max_examples=100, deadline=None)
+    def test_no_signaling_prefix_matches_the_report(self, tables, eps):
+        prefix = locality_module._verdicts(np.stack([t.p for t in tables]), eps, 1)
+        assert [repr(v) for v in prefix] == [
+            repr(locality_report(t, eps).no_signaling) for t in tables
+        ]

@@ -75,6 +75,13 @@ class TestSingletState:
         with pytest.raises(ValueError):
             TwoQubitState(np.array([1.0, 1.0, 0.0, 0.0], dtype=complex))
 
+    @pytest.mark.parametrize("slot", range(4))
+    def test_nan_amplitude_rejected(self, slot):
+        amp = singlet().amplitudes.copy()
+        amp[slot] = np.nan
+        with pytest.raises(ValueError, match="normalized"):
+            TwoQubitState(amp)
+
     def test_non_finite_angle_rejected(self):
         with pytest.raises(ValueError):
             MeasurementAngles(0.0, math.nan, 0.0, 0.0)
