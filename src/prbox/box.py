@@ -15,14 +15,14 @@ Deserialization re-runs :func:`validate` and rejects invalid tables.
 from __future__ import annotations
 
 import json
+import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 DEFAULT_EPS = 1e-9
-
-BITS = (0, 1)
 
 
 class BoxFormatError(ValueError):
@@ -41,9 +41,37 @@ def _check_bits(**bits: int) -> tuple[int, ...]:
 
 def _check_eps(eps: float) -> float:
     eps = float(eps)
-    if not eps > 0.0:
-        raise ValueError(f"eps must be positive, got {eps!r}")
+    if not 0.0 < eps < math.inf:  # NaN fails too; at inf every comparison passes
+        raise ValueError(f"eps must be positive and finite, got {eps!r}")
     return eps
+
+
+def _check_seed(seed: int) -> int:
+    """An int of any size; True, 1.5, NaN or "7" would silently mislabel a stream."""
+    try:
+        if isinstance(seed, (bool, np.bool_)):
+            raise TypeError
+        return operator.index(seed)
+    except TypeError:
+        raise ValueError(f"seed must be an integer, got {seed!r}") from None
+
+
+def _check_count(values: object, name: str, least: int = 1) -> np.ndarray:
+    """An int64 copy of ``values``; ValueError at bools or complex numbers (True
+    would pass as 1, 3+0j as 3), at the first entry the cast would change (a
+    fraction, NaN, inf or a value out of range) and at an entry below ``least``."""
+    raw = np.asarray(values)
+    if raw.dtype.kind in "bc":
+        raise ValueError(f"{name} must be integers, got {values!r}")
+    with np.errstate(invalid="ignore"):
+        try:
+            cast = raw.astype(np.int64)
+        except OverflowError:
+            raise ValueError(f"{name} must be int64 integers, got {values!r}") from None
+    for bad, rule in (cast != raw, "integers"), (cast < least, f">= {least}"):
+        if np.any(bad):
+            raise ValueError(f"{name} must be {rule}, got {raw[bad].tolist()[0]!r}")
+    return cast
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,7 +92,8 @@ class BoxTable:
         arr = np.array(self.p, dtype=float)
         if arr.shape != (2, 2, 2, 2):
             raise BoxFormatError(
-                f"box table must have shape (2, 2, 2, 2), got {arr.shape}"
+                f"box table must be nested [x][y][a][b] with two values per level, "
+                f"i.e. have shape (2, 2, 2, 2), got {arr.shape}"
             )
         arr.setflags(write=False)
         object.__setattr__(self, "p", arr)
@@ -96,18 +125,7 @@ class BoxTable:
             raise BoxFormatError(
                 f"entry table must hold JSON numbers, got dtype {arr.dtype}"
             )
-        if arr.shape != (2, 2, 2, 2):
-            raise BoxFormatError(
-                f"entry table must be nested [x][y][a][b] with two values per "
-                f"level, got shape {arr.shape}"
-            )
-        table = cls(arr, data.get("label", ""))
-        result = validate(table, eps)
-        if not result.ok:
-            raise BoxFormatError(
-                "table fails validation: " + "; ".join(str(i) for i in result.issues)
-            )
-        return table
+        return _require_valid(cls(arr, data.get("label", "")), eps)
 
 
 @dataclass(frozen=True)
@@ -170,6 +188,14 @@ def validate(t: BoxTable, eps: float = DEFAULT_EPS) -> ValidationResult:
             ValidationIssue(kind, int(x), int(y), int(a), int(b), float(t.p[x, y, a, b]))
         )
     return ValidationResult(tuple(issues))
+
+
+def _require_valid(t: BoxTable, eps: float) -> BoxTable:
+    """``t`` itself, or BoxFormatError listing every issue :func:`validate` finds."""
+    result = validate(t, eps)
+    if not result.ok:
+        raise BoxFormatError("table fails validation: " + "; ".join(map(str, result.issues)))
+    return t
 
 
 def _check_finite(t: BoxTable) -> None:

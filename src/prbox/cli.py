@@ -6,7 +6,8 @@ sample counts are JSON unless ``--format csv``, and sample records are CSV
 only, so only table1 and sample take ``--format``.
 Exit codes: 0 success, 2 box-spec grammar error or unknown constructor
 (argparse usage errors also exit 2), 3 semantic validation failure,
-including any NaN or infinite number, 4 file I/O failure.
+including any NaN or infinite number and an ``--eps`` that is not positive
+and finite, 4 file I/O failure.
 
 Box-spec grammar::
 
@@ -31,11 +32,13 @@ from typing import Callable
 from .box import (
     DEFAULT_EPS,
     BoxTable,
+    _check_eps,
+    _require_valid,
     convex_mix,
     deterministic_local_box,
     from_json,
     pr_box,
-    validate,
+    to_json,
 )
 from .chsh import chsh_value
 from .hidden_variable import (
@@ -152,12 +155,7 @@ def _json_dumps(obj: object) -> str:
 
 def _cmd_build(args: argparse.Namespace) -> str:
     box = as_box(parse_box_spec(args.box, args.eps))
-    result = validate(box, args.eps)
-    if not result.ok:
-        raise ValueError(
-            "box fails validation: " + "; ".join(str(i) for i in result.issues)
-        )
-    return _json_dumps(box.to_dict())
+    return to_json(_require_valid(box, args.eps)) + "\n"
 
 
 def _cmd_analyze(args: argparse.Namespace) -> str:
@@ -304,8 +302,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if "eps" in args and not args.eps > 0:
-            raise ValueError(f"--eps must be positive, got {args.eps}")
+        if "eps" in args:
+            _check_eps(args.eps)
         text = args.handler(args)
         _emit(text, args.output)
     except BoxSpecError as exc:

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .box import DEFAULT_EPS, BoxTable, _check_eps, _off_support
+from .box import DEFAULT_EPS, BoxTable, _check_bit, _check_eps, _off_support
 from .chsh import _chsh_s
 from .locality import Verdict, _verdicts
 
@@ -65,9 +65,7 @@ class LambdaDist:
         return cls(float(p0), 1.0 - float(p0))
 
     def prob(self, lam: int) -> float:
-        if lam not in (0, 1):
-            raise ValueError(f"lambda must be 0 or 1, got {lam!r}")
-        return self.p0 if lam == 0 else self.p1
+        return (self.p0, self.p1)[_check_bit(lam, "lambda")]
 
 
 @dataclass(frozen=True)
@@ -94,11 +92,7 @@ class HVModel:
         for x, y, lam in np.ndindex(2, 2, 2):
             for party, name in enumerate(("respond_a", "respond_b")):
                 out = getattr(self, name)(x, y, lam)
-                if out not in (0, 1):
-                    raise ValueError(
-                        f"{name}({x}, {y}, {lam}) must be 0 or 1, got {out!r}"
-                    )
-                responses[party, x, y, lam] = out
+                responses[party, x, y, lam] = _check_bit(out, f"{name}({x}, {y}, {lam})")
         boxes = _CELL_TABLES[(2 * responses[0] + responses[1]).transpose(2, 0, 1)]
         for name, table in ("responses", responses), ("_boxes", boxes):
             table.setflags(write=False)

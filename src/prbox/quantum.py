@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .box import BoxTable
+from .box import BoxTable, _check_count, _check_seed
 from .chsh import _chsh_s
 
 
@@ -105,11 +105,11 @@ def max_chsh_over_random_angles(
 
     Every point goes through the same singlet-table and CHSH arithmetic as
     :func:`singlet_box` and ``chsh_value``, evaluated block-wise so memory
-    stays bounded.  Ties keep the first maximum.
+    stays bounded.  Ties keep the first maximum.  ``n_points`` and ``seed``
+    follow the samplers' rules; the seed goes to ``default_rng`` unreduced.
     """
-    if n_points < 1:
-        raise ValueError(f"n_points must be positive, got {n_points}")
-    rng = np.random.default_rng(seed)
+    n_points = int(_check_count(n_points, "n_points"))
+    rng = np.random.default_rng(_check_seed(seed))
     samples = rng.uniform(0.0, 2.0 * math.pi, size=(n_points, 4))
     best_abs, best = -1.0, 0
     for start in range(0, n_points, _SEARCH_BLOCK):

@@ -22,13 +22,12 @@ identical (input, trials, seed) yield identical tables and records.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .box import BoxTable, _check_finite
+from .box import BoxTable, _check_count, _check_finite, _check_seed
 from .chsh import ChshResult, chsh_value
 from .hidden_variable import HVModel
 
@@ -50,21 +49,6 @@ class SampleRecord:
     lambda_value: int | None = None
 
 
-def _int64(values: object, name: str) -> np.ndarray:
-    """An int64 copy of ``values``; ValueError at the first entry the cast
-    would change (a fraction, NaN, inf or a value out of range)."""
-    raw = np.asarray(values)
-    with np.errstate(invalid="ignore"):
-        try:
-            cast = raw.astype(np.int64)
-        except OverflowError:
-            raise ValueError(f"{name} must be int64 integers, got {values!r}") from None
-    changed = cast != raw
-    if np.any(changed):
-        raise ValueError(f"{name} must be integers, got {raw[changed].tolist()[0]!r}")
-    return cast
-
-
 @dataclass(frozen=True, eq=False)
 class EmpiricalTable:
     """Outcome counts per setting pair from a seeded run."""
@@ -74,14 +58,12 @@ class EmpiricalTable:
     seed: int
 
     def __post_init__(self) -> None:
-        counts = _int64(self.counts, "counts")
-        trials = _int64(self.trials_per_setting, "trials")
+        counts = _check_count(self.counts, "counts", least=0)
+        trials = _check_count(self.trials_per_setting, "trials", least=0)
         if counts.shape != (2, 2, 2, 2):
             raise ValueError(f"counts must have shape (2, 2, 2, 2), got {counts.shape}")
         if trials.shape != (2, 2):
             raise ValueError(f"trials must have shape (2, 2), got {trials.shape}")
-        if np.any(counts < 0) or np.any(trials < 0):
-            raise ValueError("counts and trials must be nonnegative")
         sums = counts.sum(axis=(2, 3))
         if np.any(sums != trials):
             raise ValueError(
@@ -113,13 +95,6 @@ class EmpiricalTable:
         return "\n".join(lines) + "\n"
 
 
-def _check_trials(trials_per_setting: int) -> int:
-    trials = int(_int64(trials_per_setting, "trials_per_setting"))
-    if trials < 1:
-        raise ValueError(f"trials_per_setting must be >= 1, got {trials_per_setting}")
-    return trials
-
-
 _CHUNK = 1 << 14
 
 # Every record a run can yield, [pair 2x + y, lambda None/0/1, cell 2a + b].
@@ -140,12 +115,7 @@ _LINES = {id(r): _line(r) for r in _RECORDS.flat}
 def _draw(obj: BoxTable | HVModel, trials: int, seed: int) -> Iterator[tuple]:
     """Per setting pair in ``SETTING_PAIRS`` order: (interior boundaries,
     shared records of the segments, chunks of u)."""
-    try:  # an int of any size; True, 1.5, NaN or "7" would silently mislabel a stream
-        if isinstance(seed, (bool, np.bool_)):
-            raise TypeError
-        key = operator.index(seed) % 2**64
-    except TypeError:
-        raise ValueError(f"seed must be an integer, got {seed!r}") from None
+    key = _check_seed(seed) % 2**64
     if isinstance(obj, HVModel):
         bounds = np.full((4, 1), obj.dist.p0)
         cells = (2 * obj.responses[0] + obj.responses[1]).reshape(4, 2)
@@ -162,7 +132,7 @@ def _draw(obj: BoxTable | HVModel, trials: int, seed: int) -> Iterator[tuple]:
 
 
 def _counts(obj: BoxTable | HVModel, trials: int, seed: int) -> EmpiricalTable:
-    trials = _check_trials(trials)
+    trials = int(_check_count(trials, "trials_per_setting"))
     counts = np.zeros((2, 2, 2, 2), dtype=np.int64)
     for bounds, shared, chunks in _draw(obj, trials, seed):
         tails = np.zeros(len(bounds), dtype=np.int64)  # #(u >= c) per boundary c
@@ -174,8 +144,9 @@ def _counts(obj: BoxTable | HVModel, trials: int, seed: int) -> EmpiricalTable:
 
 
 def _records(obj: BoxTable | HVModel, trials: int, seed: int) -> list[SampleRecord]:
+    trials = int(_check_count(trials, "trials_per_setting"))
     records: list[SampleRecord] = []
-    for bounds, shared, chunks in _draw(obj, _check_trials(trials), seed):
+    for bounds, shared, chunks in _draw(obj, trials, seed):
         for u in chunks:  # side="right" counts the boundaries c <= u
             records += shared[np.searchsorted(bounds, u, side="right")].tolist()
     return records

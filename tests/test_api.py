@@ -1,5 +1,6 @@
 """The public API, pinned: names in ``prbox.__all__`` and the parameters of
-the locality checks and the lambda sweep.  A change here is a change of the
+the locality checks, the lambda sweep, the random search, the samplers,
+validation, mixing and JSON loading.  A change here is a change of the
 public interface and should be made on purpose."""
 
 import inspect
@@ -81,6 +82,14 @@ SIGNATURES = {
     "conditioned_dependence": CHECK,
     "locality_report": CHECK,
     "lambda_sweep": [("distributions", EMPTY), ("eps", 1e-9)],
+    "max_chsh_over_random_angles": [("n_points", EMPTY), ("seed", EMPTY)],
+    "sample_box": [("t", EMPTY), ("trials_per_setting", EMPTY), ("seed", EMPTY)],
+    "sample_box_records": [("t", EMPTY), ("trials_per_setting", EMPTY), ("seed", EMPTY)],
+    "sample_hv": [("m", EMPTY), ("trials_per_setting", EMPTY), ("seed", EMPTY)],
+    "sample_hv_records": [("m", EMPTY), ("trials_per_setting", EMPTY), ("seed", EMPTY)],
+    "validate": CHECK,
+    "convex_mix": [("boxes", EMPTY), ("weights", EMPTY), ("eps", 1e-9), ("label", None)],
+    "from_json": [("text", EMPTY), ("eps", 1e-9)],
 }
 
 

@@ -10,6 +10,7 @@ from helpers import random_box
 from prbox import (
     BoxFormatError,
     BoxTable,
+    LambdaDist,
     ValidationIssue,
     all_deterministic_boxes,
     conditional,
@@ -17,6 +18,8 @@ from prbox import (
     convex_mix,
     deterministic_local_box,
     from_json,
+    lambda_sweep,
+    locality_report,
     marginal_a,
     marginal_b,
     pr_box,
@@ -91,6 +94,27 @@ class TestValidate:
     def test_eps_must_be_positive(self):
         with pytest.raises(ValueError):
             validate(pr_box(), eps=0.0)
+
+
+# Each call would answer at eps = inf: every comparison |lhs - rhs| > eps fails,
+# so a table of 7s validates and every locality verdict holds.
+EPS_CALLS = {
+    "validate": lambda eps: validate(BoxTable(np.full((2, 2, 2, 2), 7.0)), eps),
+    "locality_report": lambda eps: locality_report(pr_box(), eps),
+    "lambda_sweep": lambda eps: lambda_sweep([LambdaDist(0.2, 0.8)], eps),
+    "convex_mix": lambda eps: convex_mix([pr_box()], [5.0], eps),
+    "from_json": lambda eps: from_json(to_json(pr_box()), eps),
+    "pr_constraint_holds": lambda eps: pr_constraint_holds(uniform_box(), eps),
+    "allclose": lambda eps: pr_box().allclose(uniform_box(), eps),
+    "conditional": lambda eps: conditional(pr_box(), 0, 0, 0, 0, eps),
+}
+
+
+@pytest.mark.parametrize("eps", [math.inf, -math.inf, 0.0, -1.0, math.nan], ids=repr)
+@pytest.mark.parametrize("name", sorted(EPS_CALLS))
+def test_eps_must_be_positive_and_finite(name, eps):
+    with pytest.raises(ValueError, match="eps must be positive and finite"):
+        EPS_CALLS[name](eps)
 
 
 class TestPrBox:
@@ -314,6 +338,14 @@ class TestSerialization:
             BoxTable(pr_box().p, label)
         with pytest.raises(BoxFormatError, match="label must be a string"):
             BoxTable.from_dict({"label": label, "p": pr_box().p.tolist()})
+
+    @pytest.mark.parametrize("p", [[[0.5, 0.5]], np.zeros((2, 2, 2, 2, 1)).tolist()])
+    def test_shape_message_names_the_nesting(self, p):
+        nesting = r"nested \[x\]\[y\]\[a\]\[b\] with two values per level"
+        with pytest.raises(BoxFormatError, match=nesting):
+            BoxTable(np.array(p))
+        with pytest.raises(BoxFormatError, match=nesting):
+            BoxTable.from_dict({"p": p})
 
     def test_missing_table_rejected(self):
         with pytest.raises(BoxFormatError):

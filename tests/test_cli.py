@@ -12,7 +12,7 @@ from prbox import (
     pr_box,
     pr_hv_model,
 )
-from prbox.cli import BoxSpecError, _json_dumps, _parse_grid, main, parse_box_spec
+from prbox.cli import BoxSpecError, _json_dumps, _parse_grid, as_box, main, parse_box_spec
 from prbox.hidden_variable import truth_table_csv
 
 
@@ -118,6 +118,17 @@ class TestCommands:
         code, from_file, _ = run(capsys, "chsh", "--box", f"file:{path}")
         assert code == 0
         assert from_file == direct
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["pr", "local:0,1,1,0", "hv:p0=0.3", "singlet:0.1,-2,3e-5,7",
+         "mix:pr@0.3+local:1,0,0,1@0.2+hv:p0=0.9@0.5"],
+    )
+    def test_build_writes_the_indented_dict(self, capsys, spec):
+        # the box JSON writer is to_json; its bytes are those of the indented encoder
+        code, out, _ = run(capsys, "build", "--box", spec)
+        assert code == 0
+        assert out == json.dumps(as_box(parse_box_spec(spec)).to_dict(), indent=2) + "\n"
 
     def test_sample_json_is_deterministic(self, capsys):
         args = ("sample", "--box", "pr", "--trials", "1000", "--seed", "5")
@@ -235,6 +246,30 @@ class TestExitCodes:
     def test_bad_eps_is_3(self, capsys):
         code, _, _ = run(capsys, "chsh", "--box", "pr", "--eps", "0")
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["build", "--box", "local:0,0,0,0"],
+            ["analyze", "--box", "pr"],
+            ["chsh", "--box", "pr"],
+            ["sample", "--box", "pr", "--seed", "1", "--trials", "3"],
+            ["sweep", "--grid", "0:1:0.5"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    @pytest.mark.parametrize("eps", ["inf", "-inf", "nan", "0", "-1"])
+    def test_eps_not_positive_and_finite_is_3(self, capsys, argv, eps):
+        code, out, err = run(capsys, *argv, f"--eps={eps}")
+        assert (code, out) == (3, "")
+        assert "eps must be positive and finite" in err
+
+    def test_build_of_an_invalid_table_is_3(self, capsys):
+        # each weight is within eps of nonnegative, yet cell (1, 1, 0, 0) is -0.5
+        spec = "mix:pr@1.5+local:0,0,0,0@-0.25+local:0,0,0,0@-0.25"
+        code, out, err = run(capsys, "build", "--box", spec, "--eps", "0.3")
+        assert (code, out) == (3, "")
+        assert "table fails validation: entry out of [0, 1] at (x=1, y=1, a=0, b=0)" in err
 
     def test_bad_grid_is_3(self, capsys):
         code, _, _ = run(capsys, "sweep", "--grid", "0:1")

@@ -113,6 +113,18 @@ class TestModelResponses:
             )
 
 
+class TestBitMessages:
+    def test_response_message(self):
+        with pytest.raises(ValueError) as err:
+            HVModel(lambda x, y, lam: 2, lambda x, y, lam: 0, LambdaDist.from_p0(0.5))
+        assert str(err.value) == "respond_a(0, 0, 0) must be 0 or 1, got 2"
+
+    def test_lambda_message(self):
+        with pytest.raises(ValueError) as err:
+            LambdaDist(0.5, 0.5).prob(2)
+        assert str(err.value) == "lambda must be 0 or 1, got 2"
+
+
 class TestResponseTable:
     def test_layout(self):
         m = pr_hv_model(LambdaDist.from_p0(0.5))

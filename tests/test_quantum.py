@@ -13,6 +13,8 @@ from prbox import (
     correlation,
     max_chsh_over_random_angles,
     no_signaling,
+    pr_box,
+    sample_box,
     singlet,
     singlet_box,
     validate,
@@ -172,3 +174,39 @@ class TestTsirelson:
     def test_search_requires_points(self):
         with pytest.raises(ValueError):
             max_chsh_over_random_angles(0, seed=1)
+
+
+class TestSearchInputs:
+    """The search takes its seed and point count by the samplers' rules."""
+
+    @pytest.mark.parametrize(
+        "seed", [None, True, False, np.True_, np.False_, 1.5, "7"], ids=repr
+    )
+    def test_non_integer_seeds_rejected(self, seed):
+        # None would draw fresh OS entropy, True the seed-1 stream
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            max_chsh_over_random_angles(10, seed)
+
+    @pytest.mark.parametrize(
+        "n_points", [1.5, np.nan, np.inf, "3", True, np.True_, 3 + 0j, 2**70, 0, -1], ids=repr
+    )
+    def test_counts_follow_the_sampler_rule(self, n_points):
+        with pytest.raises(ValueError) as search_error:
+            max_chsh_over_random_angles(n_points, 1)
+        with pytest.raises(ValueError) as sampler_error:
+            sample_box(pr_box(), n_points, 1)
+        rule = str(sampler_error.value).removeprefix("trials_per_setting")
+        assert str(search_error.value) == "n_points" + rule
+
+    @pytest.mark.parametrize("n_points", [3.0, np.int64(3), np.float64(3.0), np.array(3)])
+    def test_integral_counts_accepted(self, n_points):
+        assert repr(max_chsh_over_random_angles(n_points, 5)) == repr(
+            max_chsh_over_random_angles(3, 5)
+        )
+
+    @pytest.mark.parametrize(
+        "seed", [np.int64(3), 2**64 + 3, np.uint64(2**64 - 1), 2**200 + 11], ids=repr
+    )
+    def test_integer_seeds_keep_their_results(self, seed):
+        # the seed reaches default_rng unreduced, as it did before the shared rule
+        assert repr(max_chsh_over_random_angles(50, seed)) == repr(reference_search(50, seed))

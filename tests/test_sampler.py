@@ -200,6 +200,17 @@ class TestTableValidation:
         with pytest.raises(ValueError, match="trials must be int64 integers"):
             EmpiricalTable(counts, [[2**70, 0], [0, 0]], seed=0)
 
+    @pytest.mark.parametrize("field", ["counts", "trials"])
+    def test_bool_entries_rejected(self, field):
+        # bool is an int subclass, so True would pass as a count of 1
+        counts, trials = np.zeros((2, 2, 2, 2)), np.zeros((2, 2))
+        if field == "counts":
+            counts = counts.astype(bool)
+        else:
+            trials = trials.astype(bool)
+        with pytest.raises(ValueError, match=f"{field} must be integers"):
+            EmpiricalTable(counts, trials, seed=0)
+
     def test_trials_must_be_positive_in_samplers(self):
         with pytest.raises(ValueError):
             sample_box(pr_box(), 0, SEED)
@@ -222,6 +233,16 @@ class TestTrialCounts:
     @pytest.mark.parametrize("sample, obj", SAMPLERS, ids=SAMPLER_IDS)
     def test_non_integral_rejected(self, sample, obj, trials):
         with pytest.raises(ValueError, match="trials_per_setting must be"):
+            sample(obj, trials, SEED)
+
+    @pytest.mark.parametrize(
+        "trials", [True, np.True_, False, np.False_, 3 + 0j, np.complex128(3)], ids=repr
+    )
+    @pytest.mark.parametrize("sample, obj", SAMPLERS, ids=SAMPLER_IDS)
+    def test_bools_and_complex_rejected(self, sample, obj, trials):
+        # bool is an int subclass, so True would run one trial per setting; numpy
+        # casts 3+0j to 3 with only a warning
+        with pytest.raises(ValueError, match="trials_per_setting must be integers"):
             sample(obj, trials, SEED)
 
     @pytest.mark.parametrize("sample, obj", SAMPLERS, ids=SAMPLER_IDS)
