@@ -8,140 +8,21 @@ CHSH combination against the classical, quantum and algebraic bounds,
 and sample them reproducibly.
 """
 
-from .box import (
-    DEFAULT_EPS,
-    BoxFormatError,
-    BoxTable,
-    ValidationIssue,
-    ValidationResult,
-    all_deterministic_boxes,
-    conditional,
-    conditional_b,
-    convex_mix,
-    deterministic_local_box,
-    from_json,
-    marginal_a,
-    marginal_b,
-    pr_box,
-    pr_constraint_holds,
-    to_json,
-    uniform_box,
-    validate,
-)
-from .chsh import (
-    ChshResult,
-    ClassicalBoundCertificate,
-    chsh_value,
-    classical_bound_certificate,
-    correlation,
-    signed_outcome,
-)
-from .hidden_variable import (
-    HVDependence,
-    HVModel,
-    LambdaDist,
-    SweepPoint,
-    hv_dependence,
-    hv_to_box,
-    lambda_sweep,
-    pr_hv_model,
-    truth_table,
-    truth_table_csv,
-)
-from .locality import (
-    LocalityReport,
-    Verdict,
-    Witness,
-    bell_factorizable,
-    conditioned_dependence,
-    locality_report,
-    no_signaling,
-    outcome_independence,
-    parameter_independence,
-)
-from .quantum import (
-    OPTIMAL_CHSH_ANGLES,
-    MeasurementAngles,
-    TwoQubitState,
-    max_chsh_over_random_angles,
-    singlet,
-    singlet_box,
-)
-from .sampler import (
-    ComparisonResult,
-    EmpiricalTable,
-    InsufficientTrialsError,
-    SampleRecord,
-    compare,
-    empirical_chsh,
-    records_to_csv,
-    sample_box,
-    sample_box_records,
-    sample_hv,
-    sample_hv_records,
-)
+from . import box, chsh, hidden_variable, locality, quantum, sampler
+from .box import *
+from .chsh import *
+from .hidden_variable import *
+from .locality import *
+from .quantum import *
+from .sampler import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_EPS",
-    "BoxFormatError",
-    "BoxTable",
-    "ValidationIssue",
-    "ValidationResult",
-    "all_deterministic_boxes",
-    "conditional",
-    "conditional_b",
-    "convex_mix",
-    "deterministic_local_box",
-    "from_json",
-    "marginal_a",
-    "marginal_b",
-    "pr_box",
-    "pr_constraint_holds",
-    "to_json",
-    "uniform_box",
-    "validate",
-    "ChshResult",
-    "ClassicalBoundCertificate",
-    "chsh_value",
-    "classical_bound_certificate",
-    "correlation",
-    "signed_outcome",
-    "HVDependence",
-    "HVModel",
-    "LambdaDist",
-    "SweepPoint",
-    "hv_dependence",
-    "hv_to_box",
-    "lambda_sweep",
-    "pr_hv_model",
-    "truth_table",
-    "truth_table_csv",
-    "LocalityReport",
-    "Verdict",
-    "Witness",
-    "bell_factorizable",
-    "conditioned_dependence",
-    "locality_report",
-    "no_signaling",
-    "outcome_independence",
-    "parameter_independence",
-    "OPTIMAL_CHSH_ANGLES",
-    "MeasurementAngles",
-    "TwoQubitState",
-    "max_chsh_over_random_angles",
-    "singlet",
-    "singlet_box",
-    "ComparisonResult",
-    "EmpiricalTable",
-    "InsufficientTrialsError",
-    "SampleRecord",
-    "compare",
-    "empirical_chsh",
-    "records_to_csv",
-    "sample_box",
-    "sample_box_records",
-    "sample_hv",
-    "sample_hv_records",
+    *box.__all__,
+    *chsh.__all__,
+    *hidden_variable.__all__,
+    *locality.__all__,
+    *quantum.__all__,
+    *sampler.__all__,
 ]

@@ -22,6 +22,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
+__all__ = [
+    "DEFAULT_EPS",
+    "BoxFormatError",
+    "BoxTable",
+    "ValidationIssue",
+    "ValidationResult",
+    "all_deterministic_boxes",
+    "conditional",
+    "conditional_b",
+    "convex_mix",
+    "deterministic_local_box",
+    "from_json",
+    "marginal_a",
+    "marginal_b",
+    "pr_box",
+    "pr_constraint_holds",
+    "to_json",
+    "uniform_box",
+    "validate",
+]
+
 DEFAULT_EPS = 1e-9
 
 

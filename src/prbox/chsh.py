@@ -22,6 +22,15 @@ from .box import (
     _check_bits,
 )
 
+__all__ = [
+    "ChshResult",
+    "ClassicalBoundCertificate",
+    "chsh_value",
+    "classical_bound_certificate",
+    "correlation",
+    "signed_outcome",
+]
+
 # sign_products[a, b] = (1 - 2a) * (1 - 2b)
 _SIGN_PRODUCTS = np.array([[1.0, -1.0], [-1.0, 1.0]])
 

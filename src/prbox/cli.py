@@ -1,6 +1,8 @@
 """Command-line front end.
 
-Subcommands: build, analyze, chsh, table1, sample, sweep.  Output is JSON
+Subcommands: build, analyze, chsh, table1, sample, sweep.  They share one
+pipeline in :func:`main`: check ``--eps``, parse ``--box`` once, run the
+subcommand's handler on the parsed box or model, emit.  Output is JSON
 except where the data is tabular: table1 writes CSV unless ``--format json``,
 sample counts are JSON unless ``--format csv``, and sample records are CSV
 only, so only table1 and sample take ``--format``.
@@ -24,11 +26,14 @@ Box-spec grammar::
 from __future__ import annotations
 
 import argparse
+import bisect
 import json
 import math
 import sys
+from itertools import accumulate
 from typing import Callable
 
+from . import sampler
 from .box import (
     DEFAULT_EPS,
     BoxTable,
@@ -52,13 +57,6 @@ from .hidden_variable import (
 )
 from .locality import locality_report
 from .quantum import MeasurementAngles, singlet_box
-from .sampler import (
-    records_to_csv,
-    sample_box,
-    sample_box_records,
-    sample_hv,
-    sample_hv_records,
-)
 
 
 class BoxSpecError(ValueError):
@@ -82,23 +80,26 @@ def _parse_bit(text: str, what: str, position: int) -> int:
     return int(text)
 
 
+def _parts(spec: str, kind: str, sep: str) -> list[tuple[str, int]]:
+    """The ``sep``-separated parts after ``kind:``, each with its position in
+    ``spec``."""
+    parts = spec[len(kind) + 1:].split(sep)
+    starts = accumulate((len(part) + 1 for part in parts), initial=len(kind) + 1)
+    return list(zip(parts, starts))
+
+
 def _parse_fields(
     spec: str, kind: str, noun: str, parse: Callable[[str, str, int], float], what: str
 ) -> list[float]:
     """The four comma-separated fields after ``kind:``, each parsed by
     ``parse`` with its position in ``spec``."""
-    pos = len(kind) + 1
-    body = spec[pos:]
-    parts = body.split(",")
+    parts = _parts(spec, kind, ",")
     if len(parts) != 4:
+        body = spec[len(kind) + 1:]
         raise BoxSpecError(
-            f"{kind} takes four comma-separated {noun}, got {body!r}", pos
+            f"{kind} takes four comma-separated {noun}, got {body!r}", len(kind) + 1
         )
-    values = []
-    for part in parts:
-        values.append(parse(part, what, pos))
-        pos += len(part) + 1
-    return values
+    return [parse(part, what, pos) for part, pos in parts]
 
 
 def parse_box_spec(spec: str, eps: float = DEFAULT_EPS) -> BoxTable | HVModel:
@@ -124,12 +125,8 @@ def parse_box_spec(spec: str, eps: float = DEFAULT_EPS) -> BoxTable | HVModel:
         with open(path, "r", encoding="utf-8") as fh:
             return from_json(fh.read(), eps)
     if spec.startswith("mix:"):
-        body = spec[len("mix:"):]
-        components = body.split("+")
-        boxes = []
-        weights = []
-        pos = len("mix:")
-        for component in components:
+        boxes, weights = [], []
+        for component, pos in _parts(spec, "mix", "+"):
             if "@" not in component:
                 raise BoxSpecError(
                     f"mix component needs <spec>@<weight>, got {component!r}", pos
@@ -139,7 +136,6 @@ def parse_box_spec(spec: str, eps: float = DEFAULT_EPS) -> BoxTable | HVModel:
                 raise BoxSpecError("mix components cannot nest mix", pos)
             boxes.append(as_box(parse_box_spec(sub, eps)))
             weights.append(_parse_float(weight_text, "weight", pos + len(sub) + 1))
-            pos += len(component) + 1
         return convex_mix(boxes, weights, eps, label=spec)
     raise BoxSpecError(f"unknown box spec {spec!r}", 0)
 
@@ -153,39 +149,31 @@ def _json_dumps(obj: object) -> str:
     return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
 
-def _cmd_build(args: argparse.Namespace) -> str:
-    box = as_box(parse_box_spec(args.box, args.eps))
-    return to_json(_require_valid(box, args.eps)) + "\n"
+def _cmd_build(args: argparse.Namespace, obj: BoxTable | HVModel) -> str:
+    return to_json(_require_valid(as_box(obj), args.eps)) + "\n"
 
 
-def _cmd_analyze(args: argparse.Namespace) -> str:
-    box = as_box(parse_box_spec(args.box, args.eps))
-    return _json_dumps(locality_report(box, args.eps).as_dict())
+def _cmd_analyze(args: argparse.Namespace, obj: BoxTable | HVModel) -> str:
+    return _json_dumps(locality_report(as_box(obj), args.eps).as_dict())
 
 
-def _cmd_chsh(args: argparse.Namespace) -> str:
-    box = as_box(parse_box_spec(args.box, args.eps))
-    return _json_dumps(chsh_value(box).as_dict())
+def _cmd_chsh(args: argparse.Namespace, obj: BoxTable | HVModel) -> str:
+    return _json_dumps(chsh_value(as_box(obj)).as_dict())
 
 
-def _cmd_table1(args: argparse.Namespace) -> str:
+def _cmd_table1(args: argparse.Namespace, _: None) -> str:
     model = pr_hv_model(LambdaDist.from_p0(0.5))
     if args.format == "json":
         return _json_dumps({"rows": [list(row) for row in truth_table(model)]})
     return truth_table_csv(model)
 
 
-def _cmd_sample(args: argparse.Namespace) -> str:
-    obj = parse_box_spec(args.box, args.eps)
-    if isinstance(obj, HVModel):
-        sample, sample_records = sample_hv, sample_hv_records
-    else:
-        sample, sample_records = sample_box, sample_box_records
+def _cmd_sample(args: argparse.Namespace, obj: BoxTable | HVModel) -> str:
     if args.records:
         if args.format == "json":
             raise BoxSpecError("record dumps are CSV only; drop --format json")
-        return records_to_csv(sample_records(obj, args.trials, args.seed))
-    table = sample(obj, args.trials, args.seed)
+        return sampler.records_to_csv(sampler._records(obj, args.trials, args.seed))
+    table = sampler._counts(obj, args.trials, args.seed)
     if args.format == "csv":
         return table.to_csv()
     return _json_dumps(
@@ -213,20 +201,21 @@ def _parse_grid(text: str) -> list[float]:
         raise ValueError(f"grid must be finite, got {text!r}")
     if step <= 0:
         raise ValueError(f"grid step must be positive, got {step}")
-    values = []
-    for k in range(_MAX_GRID_POINTS + 1):
-        value = round(start + k * step, 12)
-        if value > stop + step * 1e-9:
-            break
-        values.append(value)
-    else:
+
+    def point(k: int) -> float:
+        return round(start + k * step, 12)
+
+    # point(k) never decreases in k, so bisect counts the points at or below
+    # stop without walking them.
+    count = bisect.bisect_right(range(_MAX_GRID_POINTS + 1), stop + step * 1e-9, key=point)
+    if count > _MAX_GRID_POINTS:
         raise ValueError(f"grid {text!r} has more than {_MAX_GRID_POINTS} points")
-    if not values:
+    if count == 0:
         raise ValueError(f"grid {text!r} contains no points")
-    return values
+    return [point(k) for k in range(count)]
 
 
-def _cmd_sweep(args: argparse.Namespace) -> str:
+def _cmd_sweep(args: argparse.Namespace, _: None) -> str:
     dists = [LambdaDist.from_p0(p0) for p0 in _parse_grid(args.grid)]
     points = lambda_sweep(dists, args.eps)
     return _json_dumps([point.as_dict() for point in points])
@@ -304,8 +293,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if "eps" in args:
             _check_eps(args.eps)
-        text = args.handler(args)
-        _emit(text, args.output)
+        obj = parse_box_spec(args.box, args.eps) if "box" in args else None
+        _emit(args.handler(args, obj), args.output)
     except BoxSpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -24,6 +24,19 @@ from .box import DEFAULT_EPS, BoxTable, _check_bit, _check_eps, _off_support
 from .chsh import _chsh_s
 from .locality import Verdict, _verdicts
 
+__all__ = [
+    "HVDependence",
+    "HVModel",
+    "LambdaDist",
+    "SweepPoint",
+    "hv_dependence",
+    "hv_to_box",
+    "lambda_sweep",
+    "pr_hv_model",
+    "truth_table",
+    "truth_table_csv",
+]
+
 # Truth-table row order: y varies slowest, then x, then lambda.
 TRUTH_TABLE_ORDER: tuple[tuple[int, int, int], ...] = (
     (0, 0, 0),

@@ -46,6 +46,18 @@ import numpy as np
 
 from .box import DEFAULT_EPS, BoxTable, _check_eps, _check_finite, _swap
 
+__all__ = [
+    "LocalityReport",
+    "Verdict",
+    "Witness",
+    "bell_factorizable",
+    "conditioned_dependence",
+    "locality_report",
+    "no_signaling",
+    "outcome_independence",
+    "parameter_independence",
+]
+
 
 @dataclass(frozen=True)
 class Witness:

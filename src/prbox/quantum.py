@@ -21,6 +21,15 @@ import numpy as np
 from .box import BoxTable, _check_count, _check_seed
 from .chsh import _chsh_s
 
+__all__ = [
+    "OPTIMAL_CHSH_ANGLES",
+    "MeasurementAngles",
+    "TwoQubitState",
+    "max_chsh_over_random_angles",
+    "singlet",
+    "singlet_box",
+]
+
 
 @dataclass(frozen=True)
 class MeasurementAngles:

@@ -31,6 +31,20 @@ from .box import BoxTable, _check_count, _check_finite, _check_seed
 from .chsh import ChshResult, chsh_value
 from .hidden_variable import HVModel
 
+__all__ = [
+    "ComparisonResult",
+    "EmpiricalTable",
+    "InsufficientTrialsError",
+    "SampleRecord",
+    "compare",
+    "empirical_chsh",
+    "records_to_csv",
+    "sample_box",
+    "sample_box_records",
+    "sample_hv",
+    "sample_hv_records",
+]
+
 SETTING_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
@@ -58,6 +72,7 @@ class EmpiricalTable:
     seed: int
 
     def __post_init__(self) -> None:
+        _check_seed(self.seed)  # the caller's seed object is kept, labels included
         counts = _check_count(self.counts, "counts", least=0)
         trials = _check_count(self.trials_per_setting, "trials", least=0)
         if counts.shape != (2, 2, 2, 2):

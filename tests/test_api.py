@@ -1,8 +1,11 @@
-"""The public API, pinned: names in ``prbox.__all__`` and the parameters of
-the locality checks, the lambda sweep, the random search, the samplers,
-validation, mixing and JSON loading.  A change here is a change of the
-public interface and should be made on purpose."""
+"""The public API, pinned: names in ``prbox.__all__``, the one module that
+owns each of them, and the parameters of the locality checks, the lambda
+sweep, the random search, the samplers, validation, mixing and JSON loading.
+A change here is a change of the public interface and should be made on
+purpose."""
 
+import ast
+import importlib
 import inspect
 
 import pytest
@@ -107,3 +110,32 @@ def test_signature_is_pinned(name):
     parameters = inspect.signature(getattr(prbox, name)).parameters.values()
     assert [(p.name, p.default) for p in parameters] == SIGNATURES[name]
     assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in parameters)
+
+
+OWNERS = ["box", "chsh", "hidden_variable", "locality", "quantum", "sampler"]
+
+
+def _defined_at_top_level(module):
+    """Names a module binds by def, class or assignment, not by import."""
+    names = set()
+    for node in ast.parse(inspect.getsource(module)).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+@pytest.mark.parametrize("name", PUBLIC_NAMES)
+def test_each_public_name_has_one_owner(name):
+    modules = [importlib.import_module(f"prbox.{owner}") for owner in OWNERS]
+    owners = [module for module in modules if name in module.__all__]
+    assert len(owners) == 1
+    assert name in _defined_at_top_level(owners[0])
+    assert getattr(prbox, name) is getattr(owners[0], name)
+
+
+def test_package_names_are_the_owners_lists():
+    modules = [importlib.import_module(f"prbox.{owner}") for owner in OWNERS]
+    assert prbox.__all__ == [name for module in modules for name in module.__all__]

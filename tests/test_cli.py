@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
 from prbox import (
     HVModel,
@@ -11,6 +13,11 @@ from prbox import (
     hv_to_box,
     pr_box,
     pr_hv_model,
+    records_to_csv,
+    sample_box,
+    sample_box_records,
+    sample_hv,
+    sample_hv_records,
 )
 from prbox.cli import BoxSpecError, _json_dumps, _parse_grid, as_box, main, parse_box_spec
 from prbox.hidden_variable import truth_table_csv
@@ -354,3 +361,75 @@ class TestExitCodes:
             capsys, "sample", "--box", "pr", "--trials", "0", "--seed", "1"
         )
         assert code == 3
+
+
+class TestSampleMatchesTheLibrary:
+    @pytest.mark.parametrize(
+        "spec",
+        ["pr", "local:0,1,1,0", "hv:p0=0.3",
+         "singlet:0,1.5707963267948966,0.7853981633974483,2.356194490192345",
+         "mix:pr@0.7+local:0,0,0,0@0.3"],
+    )
+    def test_counts_csv_and_records(self, capsys, spec):
+        obj = parse_box_spec(spec)
+        if isinstance(obj, HVModel):
+            sample, sample_records = sample_hv, sample_hv_records
+        else:
+            sample, sample_records = sample_box, sample_box_records
+        table = sample(obj, 300, 11)
+        argv = ("sample", "--box", spec, "--trials", "300", "--seed", "11")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert json.loads(out) == {
+            "label": obj.label,
+            "seed": 11,
+            "trials_per_setting": table.trials_per_setting.tolist(),
+            "counts": table.counts.tolist(),
+        }
+        assert run(capsys, *argv, "--format", "csv") == (0, table.to_csv(), "")
+        records = records_to_csv(sample_records(obj, 300, 11))
+        assert run(capsys, *argv, "--records") == (0, records, "")
+
+
+def walked_grid(start, stop, step, limit):
+    """The grid rule as a walk, or None past ``limit`` points."""
+    values = []
+    while (value := round(start + len(values) * step, 12)) <= stop + step * 1e-9:
+        if len(values) == limit:
+            return None
+        values.append(value)
+    return values
+
+
+class TestGridWithoutWalking:
+    def test_refused_grid_is_not_walked(self, monkeypatch):
+        evaluated = []
+
+        def counting_round(value, digits):
+            evaluated.append(value)
+            return round(value, digits)
+
+        monkeypatch.setattr("prbox.cli.round", counting_round, raising=False)
+        with pytest.raises(ValueError, match="more than 1000000 points"):
+            _parse_grid("0:1:1e-300")
+        assert 0 < len(evaluated) <= 64
+
+    @given(
+        start=st.floats(-1e3, 1e3),
+        step=st.one_of(st.floats(1e-15, 1e-9), st.floats(1e-9, 1e3)),
+        points=st.integers(-20, 5000),
+        offset=st.floats(-1, 1),
+    )
+    @example(start=0.0, step=1e-13, points=5000, offset=0.0)
+    @example(start=-0.5, step=0.1, points=10, offset=0.0)
+    @example(start=1.0, step=0.1, points=-3, offset=0.0)
+    def test_grid_matches_the_walk(self, start, step, points, offset):
+        stop = start + (points + offset) * step
+        expected = walked_grid(start, stop, step, limit=20_000)
+        assume(expected is not None)
+        text = f"{start!r}:{stop!r}:{step!r}"
+        if not expected:
+            with pytest.raises(ValueError, match="contains no points"):
+                _parse_grid(text)
+        else:
+            assert repr(_parse_grid(text)) == repr(expected)

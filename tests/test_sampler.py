@@ -200,6 +200,21 @@ class TestTableValidation:
         with pytest.raises(ValueError, match="trials must be int64 integers"):
             EmpiricalTable(counts, [[2**70, 0], [0, 0]], seed=0)
 
+    @pytest.mark.parametrize("seed", [True, np.True_, 1.5, "x", None])
+    def test_seed_must_be_an_integer(self, seed):
+        # as_box() would label such a table empirical(seed=True) and so on
+        counts, trials = np.zeros((2, 2, 2, 2)), np.zeros((2, 2))
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            EmpiricalTable(counts, trials, seed=seed)
+
+    @pytest.mark.parametrize("seed", [np.int64(-5), 2**64 + 3])
+    def test_integer_seed_is_kept_as_given(self, seed):
+        counts = np.zeros((2, 2, 2, 2), dtype=np.int64)
+        counts[:, :, 0, 0] = 1
+        table = EmpiricalTable(counts, np.ones((2, 2), dtype=np.int64), seed=seed)
+        assert table.seed is seed
+        assert table.as_box().label == f"empirical(seed={seed})"
+
     @pytest.mark.parametrize("field", ["counts", "trials"])
     def test_bool_entries_rejected(self, field):
         # bool is an int subclass, so True would pass as a count of 1
