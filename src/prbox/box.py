@@ -50,8 +50,12 @@ class BoxFormatError(ValueError):
     """A serialized box is structurally malformed or fails validation."""
 
 
-def _check_bit(value: int, name: str) -> int:
+def _check_bit(value: int, name: str, *args: int) -> int:
+    """``args``, if any, are the arguments of the call ``name`` that gave
+    ``value``; they are formatted into the message only when it fails."""
     if value not in (0, 1):
+        if args:
+            name = f"{name}({', '.join(map(str, args))})"
         raise ValueError(f"{name} must be 0 or 1, got {value!r}")
     return int(value)
 

@@ -216,7 +216,15 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def _cmd_sweep(args: argparse.Namespace, _: None) -> str:
-    dists = [LambdaDist.from_p0(p0) for p0 in _parse_grid(args.grid)]
+    grid = _parse_grid(args.grid)
+    # The points never decrease and LambdaDist accepts the p0 of an interval,
+    # so the two ends decide the grid before any other point is built.
+    for p0 in grid[0], grid[-1]:
+        try:
+            LambdaDist.from_p0(p0)
+        except ValueError as exc:
+            raise ValueError(f"grid {args.grid!r} has point p0 = {p0!r}: {exc}") from None
+    dists = [LambdaDist.from_p0(p0) for p0 in grid]
     points = lambda_sweep(dists, args.eps)
     return _json_dumps([point.as_dict() for point in points])
 

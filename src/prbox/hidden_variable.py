@@ -105,7 +105,7 @@ class HVModel:
         for x, y, lam in np.ndindex(2, 2, 2):
             for party, name in enumerate(("respond_a", "respond_b")):
                 out = getattr(self, name)(x, y, lam)
-                responses[party, x, y, lam] = _check_bit(out, f"{name}({x}, {y}, {lam})")
+                responses[party, x, y, lam] = _check_bit(out, name, x, y, lam)
         boxes = _CELL_TABLES[(2 * responses[0] + responses[1]).transpose(2, 0, 1)]
         for name, table in ("responses", responses), ("_boxes", boxes):
             table.setflags(write=False)

@@ -5,10 +5,18 @@ setting: the spin observable at angle theta is cos(theta) sigma_z +
 sin(theta) sigma_x, with +1 eigenvector (cos(theta/2), sin(theta/2)) and
 -1 eigenvector (-sin(theta/2), cos(theta/2)).  The eigenvalue +1 maps to
 outcome 0 and -1 to outcome 1, so signed outcomes are recovered by
-a' = 1 - 2a.  Joint probabilities are rank-1 projector expectations
-computed directly on the 4-amplitude state vector.  One array path serves
-both a single table and a stack of them: :func:`singlet_box` is its
-one-row case and the random search runs it over blocks of rows.
+a' = 1 - 2a.  Joint probabilities are rank-1 projector expectations on
+the 4-amplitude state vector.  The singlet has only two nonzero
+amplitudes, +-1/sqrt(2), and every other term of the generic complex
+contraction ``einsum("...xai,ij,...ybj->...xyab", va, psi, vb)`` is an
+exact zero, so each expectation is evaluated as its two real products in
+the contraction's own rounding order, and the tables are bit for bit the
+contraction's.  They are built C-contiguous because ``chsh``'s
+correlation sum adds in an order that follows memory layout: a
+transposed stack of the same tables can give different s bits.  One
+array path serves both a single table and a stack of them:
+:func:`singlet_box` is its one-row case and the random search runs it
+over blocks of rows.
 """
 
 from __future__ import annotations
@@ -82,22 +90,30 @@ OPTIMAL_CHSH_ANGLES = MeasurementAngles(
     0.0, math.pi / 2, -3 * math.pi / 4, 3 * math.pi / 4
 )
 
-_SINGLET = singlet().amplitudes.reshape(2, 2)
+# The singlet's amplitude r at |01>; the one at |10> is -r, the others 0.
+_R = singlet().amplitudes[1].real
 
-# Rows of the random search evaluated per einsum; bounds its working memory.
+# Rows of the random search evaluated per block; bounds its working memory.
 _SEARCH_BLOCK = 4096
 
 
 def _singlet_tables(theta: np.ndarray) -> np.ndarray:
-    """Tables ``(..., 2, 2, 2, 2)`` of angle rows ``(..., 4)`` (a0, a1, b0, b1):
-    p(x, y, a, b) = |<v_a(theta_Ax) (x) v_b(theta_By) | psi>|^2, the rank-1
-    projector expectation, with v_0 = (c, s) and v_1 = (-s, c) at theta/2."""
-    half = np.asarray(theta, dtype=float) / 2.0
+    """C-contiguous tables ``(..., 2, 2, 2, 2)`` of angle rows ``(..., 4)``
+    (a0, a1, b0, b1): p(x, y, a, b) = |<v_a(theta_Ax) (x) v_b(theta_By) | psi>|^2,
+    the rank-1 projector expectation, with v_0 = (c, s) and v_1 = (-s, c) at
+    theta/2.
+
+    The amplitude is (v_a0 r) v_b1 - (v_a1 r) v_b0, rounded in that order as
+    the complex contraction rounds it; its real square is |.|^2 exactly.
+    """
+    half = np.ascontiguousarray(theta, dtype=float) / 2.0
     c, s = np.cos(half), np.sin(half)
     # v[..., setting, outcome, component] for the settings a0, a1, b0, b1
     v = np.stack([c, s, -s, c], axis=-1).reshape(*half.shape, 2, 2)
-    va, vb = v[..., :2, :, :], v[..., 2:, :, :]
-    return np.abs(np.einsum("...xai,ij,...ybj->...xyab", va, _SINGLET, vb)) ** 2
+    # broadcast to [..., x, y, a, b, component]
+    wa = v[..., :2, None, :, None, :] * _R
+    vb = v[..., None, 2:, None, :, :]
+    return (wa[..., 0] * vb[..., 1] - wa[..., 1] * vb[..., 0]) ** 2
 
 
 def singlet_box(angles: MeasurementAngles) -> BoxTable:

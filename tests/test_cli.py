@@ -401,6 +401,39 @@ def walked_grid(start, stop, step, limit):
     return values
 
 
+class TestSweepChecksTheEndsFirst:
+    """The grid's two ends bound every point, so a refused grid builds one or
+    two LambdaDist objects and names the grid and the point it refuses."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        built = []
+
+        class CountingLambdaDist(LambdaDist):
+            def __post_init__(self):
+                built.append(self.p0)
+                super().__post_init__()
+
+        monkeypatch.setattr("prbox.cli.LambdaDist", CountingLambdaDist)
+        return built
+
+    @pytest.mark.parametrize(
+        "grid, point, built_before_error",
+        [("0:1.5:0.001", "1.5", [0.0, 1.5]), ("-0.5:1:0.25", "-0.5", [-0.5]), ("0:2:1", "2.0", [0.0, 2.0])],
+    )
+    def test_refused_grid(self, capsys, built, grid, point, built_before_error):
+        code, out, err = run(capsys, "sweep", f"--grid={grid}")
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error: grid {grid!r} has point p0 = {point}: lambda probabilities")
+        assert built == built_before_error
+
+    def test_accepted_grid_checks_its_ends_then_builds_every_point(self, capsys, built):
+        code, out, _ = run(capsys, "sweep", "--grid", "0:1:0.25")
+        assert code == 0
+        assert [point["p0"] for point in json.loads(out)] == [0.0, 0.25, 0.5, 0.75, 1.0]
+        assert built == [0.0, 1.0, 0.0, 0.25, 0.5, 0.75, 1.0]
+
+
 class TestGridWithoutWalking:
     def test_refused_grid_is_not_walked(self, monkeypatch):
         evaluated = []

@@ -24,6 +24,7 @@ from prbox import (
     truth_table_csv,
     validate,
 )
+from prbox.box import _check_bit
 
 GOLDEN_ROWS = [
     (0, 0, 0, 0, 0),
@@ -118,6 +119,22 @@ class TestBitMessages:
         with pytest.raises(ValueError) as err:
             HVModel(lambda x, y, lam: 2, lambda x, y, lam: 0, LambdaDist.from_p0(0.5))
         assert str(err.value) == "respond_a(0, 0, 0) must be 0 or 1, got 2"
+
+    def test_response_message_names_the_failing_call(self):
+        with pytest.raises(ValueError) as err:
+            HVModel(
+                lambda x, y, lam: 0,
+                lambda x, y, lam: 5 if (x, y, lam) == (1, 0, 1) else 1,
+                LambdaDist.from_p0(0.5),
+            )
+        assert str(err.value) == "respond_b(1, 0, 1) must be 0 or 1, got 5"
+
+    def test_call_arguments_are_formatted_only_on_failure(self):
+        class Unprintable:
+            def __str__(self):
+                raise AssertionError("formatted a passing check")
+
+        assert _check_bit(1, "respond_a", Unprintable()) == 1
 
     def test_lambda_message(self):
         with pytest.raises(ValueError) as err:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -25,6 +26,9 @@ from prbox.quantum import _SEARCH_BLOCK, _singlet_tables
 TSIRELSON = 2.0 * math.sqrt(2.0)
 
 angle = st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False)
+any_angle = st.floats(allow_nan=False, allow_infinity=False)
+
+EXTREME_ANGLES = [0.0, -0.0, math.pi, -math.pi, math.pi / 2, 1e308, -1e308, 5e-324]
 
 
 def oracle_projector_table(angles):
@@ -42,6 +46,24 @@ def oracle_projector_table(angles):
         op = np.kron(projector(angles.a_angle(x), a), projector(angles.b_angle(y), b))
         p[x, y, a, b] = float(np.real(np.conj(psi) @ op @ psi))
     return p
+
+
+def einsum_reference_tables(theta):
+    """The generic complex three-operand contraction over the singlet's 2x2
+    amplitudes, which the real-product tables must equal bit for bit."""
+    half = np.asarray(theta, dtype=float) / 2.0
+    c, s = np.cos(half), np.sin(half)
+    v = np.stack([c, s, -s, c], axis=-1).reshape(*half.shape, 2, 2)
+    psi = singlet().amplitudes.reshape(2, 2)
+    va, vb = v[..., :2, :, :], v[..., 2:, :, :]
+    return np.abs(np.einsum("...xai,ij,...ybj->...xyab", va, psi, vb)) ** 2
+
+
+def assert_same_bits_as_einsum(theta):
+    tables = _singlet_tables(theta)
+    assert tables.flags.c_contiguous
+    assert tables.shape == np.shape(theta)[:-1] + (2, 2, 2, 2)
+    assert tables.tobytes() == einsum_reference_tables(theta).tobytes()
 
 
 def reference_search(n_points, seed):
@@ -142,6 +164,36 @@ class TestSingletBox:
             assert np.array_equal(table, singlet_box(MeasurementAngles(*row)).p)
 
 
+class TestTablesEqualTheEinsum:
+    """The real-product tables are the complex contraction's, bit for bit,
+    and C-contiguous, which the layout-dependent CHSH sum needs."""
+
+    @given(st.lists(st.tuples(any_angle, any_angle, any_angle, any_angle), min_size=1, max_size=40))
+    @settings(max_examples=80, deadline=None)
+    def test_stacked_rows(self, rows):
+        assert_same_bits_as_einsum(np.array(rows))
+        assert_same_bits_as_einsum(rows[0])
+
+    def test_every_quadruple_of_extreme_angles(self):
+        rows = np.array(list(itertools.product(EXTREME_ANGLES, repeat=4)))
+        assert_same_bits_as_einsum(rows)
+        assert_same_bits_as_einsum(rows.reshape(8, 512, 4))
+        for row in rows[::97]:
+            assert_same_bits_as_einsum(row)
+
+    def test_random_rows_over_every_magnitude(self):
+        rng = np.random.default_rng(17)
+        theta = np.concatenate(
+            [rng.uniform(-scale, scale, size=(_SEARCH_BLOCK + 5, 4)) for scale in (2 * math.pi, 1e3)]
+            + [rng.choice([-1.0, 1.0], size=(512, 4)) * 10.0 ** rng.uniform(-300, 300, (512, 4))]
+        )
+        assert_same_bits_as_einsum(theta)
+        # strided and transposed rows give C-contiguous tables too
+        assert_same_bits_as_einsum(theta[::3])
+        assert_same_bits_as_einsum(np.asfortranarray(theta))
+        assert_same_bits_as_einsum(theta.T.copy().T)
+
+
 class TestTsirelson:
     def test_optimal_angles_attain_the_quantum_bound(self):
         result = chsh_value(singlet_box(OPTIMAL_CHSH_ANGLES))
@@ -163,6 +215,19 @@ class TestTsirelson:
         assert repr(max_chsh_over_random_angles(n_points, seed)) == repr(
             reference_search(n_points, seed)
         )
+
+    @pytest.mark.parametrize(
+        "seed, best_hex",
+        [
+            (0, "0x1.69813d8257210p+1"),
+            (1, "0x1.68bca4c055cb6p+1"),
+            (2, "0x1.697470d84b9cep+1"),
+            (99, "0x1.699f3519e06b4p+1"),
+        ],
+    )
+    def test_search_values_are_pinned(self, seed, best_hex):
+        # the complex einsum tables gave these bits; a faster path must too
+        assert max_chsh_over_random_angles(10**4, seed)[0].hex() == best_hex
 
     def test_search_keeps_the_first_of_tied_maxima(self, monkeypatch):
         # every row ties at |s| = 1, so the first sampled row must win
