@@ -3,7 +3,9 @@
 A *box* is the full table P(a, b | x, y) over binary settings x, y and
 binary outcomes a, b.  Tables are stored as read-only (2, 2, 2, 2) float
 arrays indexed ``[x][y][a][b]``; this is the one object every analyzer in
-the package consumes.  All constructors return tables that pass
+the package consumes.  Every table is finite: :class:`BoxTable` refuses a
+NaN or infinite entry when it is built, so no analysis can read a NaN
+comparison as "no difference".  All constructors return tables that pass
 :func:`validate`, every operation is a pure function of immutable inputs,
 and a table may be shared across concurrent analyzers without locking.
 
@@ -99,13 +101,30 @@ def _check_count(values: object, name: str, least: int = 1) -> np.ndarray:
     return cast
 
 
+def _check_weights(values: Sequence[float], name: str, eps: float) -> np.ndarray:
+    """``values`` as a float array: the rule for a probability vector, whose
+    entries are finite, at least -eps each and sum to 1 within eps."""
+    finite = all(map(math.isfinite, values))  # TypeError at "0.5", which float() would parse
+    w = np.asarray(values, dtype=float)
+    listed = w.tolist()
+    if not finite:
+        raise ValueError(f"{name} must be finite, got {listed}")
+    if min(listed) < -eps:
+        raise ValueError(f"{name} must be nonnegative, got {listed}")
+    total = float(w.sum())  # numpy's summation order, which long mixtures depend on
+    if abs(total - 1.0) > eps:
+        raise ValueError(f"{name} must sum to 1, got {total}")
+    return w
+
+
 @dataclass(frozen=True, eq=False)
 class BoxTable:
     """Joint conditional distribution of a bipartite binary box.
 
     ``p[x, y, a, b]`` is the probability of outcomes (a, b) given settings
     (x, y).  The array is coerced to float64 and frozen on construction;
-    derive new tables instead of mutating.
+    derive new tables instead of mutating.  Construction refuses (BoxFormatError)
+    a bad label or shape and the first NaN or infinite entry in (x, y, a, b) order.
     """
 
     p: np.ndarray
@@ -120,6 +139,10 @@ class BoxTable:
                 f"box table must be nested [x][y][a][b] with two values per level, "
                 f"i.e. have shape (2, 2, 2, 2), got {arr.shape}"
             )
+        if not all(map(math.isfinite, arr.ravel().tolist())):
+            x, y, a, b = np.argwhere(~np.isfinite(arr))[0].tolist()
+            cell = f"(x={x}, y={y}, a={a}, b={b}): {float(arr[x, y, a, b])}"
+            raise BoxFormatError(f"box {self.label!r}: non-finite entry at {cell}")
         arr.setflags(write=False)
         object.__setattr__(self, "p", arr)
 
@@ -158,8 +181,8 @@ class ValidationIssue:
     """One violated table invariant.
 
     ``kind`` is ``"normalization"`` (value = the offending setting-pair sum,
-    a and b are None), ``"range"`` (value = the out-of-range entry) or
-    ``"non_finite"`` (value = the NaN or infinite entry).
+    a and b are None) or ``"range"`` (value = the out-of-range entry).  A
+    non-finite entry is no issue: no table can hold one.
     """
 
     kind: str
@@ -172,9 +195,8 @@ class ValidationIssue:
     def __str__(self) -> str:
         if self.kind == "normalization":
             return f"normalization violated at (x={self.x}, y={self.y}): sum={self.value}"
-        what = "entry out of [0, 1]" if self.kind == "range" else "non-finite entry"
         return (
-            f"{what} at (x={self.x}, y={self.y}, a={self.a}, "
+            f"entry out of [0, 1] at (x={self.x}, y={self.y}, a={self.a}, "
             f"b={self.b}): {self.value}"
         )
 
@@ -195,23 +217,22 @@ def validate(t: BoxTable, eps: float = DEFAULT_EPS) -> ValidationResult:
     """Check normalization per setting pair and entrywise range.
 
     Returns a verdict rather than raising: every setting pair must sum to 1
-    within ``eps`` and every entry must be finite and lie in [0, 1] within
-    ``eps``.  Issues come in (x, y, a, b) order, normalization first.
+    within ``eps`` and every entry must lie in [0, 1] within ``eps``.  Issues
+    come in (x, y, a, b) order, normalization first.  Entries are finite
+    already, since :class:`BoxTable` refuses any other.
     """
     eps = _check_eps(eps)
     totals = t.p.sum(axis=(2, 3))
     if (np.abs(totals - 1.0) <= eps).all() and ((t.p >= -eps) & (t.p <= 1.0 + eps)).all():
-        return _VALID  # one mask test; NaN fails both comparisons
+        return _VALID
     issues = [
         ValidationIssue("normalization", int(x), int(y), None, None, float(totals[x, y]))
         for x, y in np.argwhere(np.abs(totals - 1.0) > eps)
     ]
-    finite = np.isfinite(t.p)
-    for x, y, a, b in np.argwhere(~finite | (t.p < -eps) | (t.p > 1.0 + eps)):
-        kind = "range" if finite[x, y, a, b] else "non_finite"
-        issues.append(
-            ValidationIssue(kind, int(x), int(y), int(a), int(b), float(t.p[x, y, a, b]))
-        )
+    issues += [
+        ValidationIssue("range", int(x), int(y), int(a), int(b), float(t.p[x, y, a, b]))
+        for x, y, a, b in np.argwhere((t.p < -eps) | (t.p > 1.0 + eps))
+    ]
     return ValidationResult(tuple(issues))
 
 
@@ -221,19 +242,6 @@ def _require_valid(t: BoxTable, eps: float) -> BoxTable:
     if not result.ok:
         raise BoxFormatError("table fails validation: " + "; ".join(map(str, result.issues)))
     return t
-
-
-def _check_finite(t: BoxTable) -> None:
-    """Raise ValueError at the first NaN or infinite entry.
-
-    ``BoxTable`` itself does not validate, so analyses that would otherwise
-    read a NaN comparison as "no difference" call this first.
-    """
-    if np.isfinite(t.p).all():
-        return
-    x, y, a, b = np.argwhere(~np.isfinite(t.p))[0].tolist()
-    entry = ValidationIssue("non_finite", x, y, a, b, float(t.p[x, y, a, b]))
-    raise ValueError(f"box {t.label!r}: {entry}")
 
 
 # Cells allowed by the PR relation (a + b) mod 2 = x*y.
@@ -253,12 +261,12 @@ def pr_box() -> BoxTable:
     return BoxTable(np.where(_PR_SUPPORT, 0.5, 0.0), "pr")
 
 
-# Row 8*f0 + 4*f1 + 2*g0 + g1 is the product box of a = f[x], b = g[y],
-# built from _ONE_HOT[2*f0 + f1][x, a] = [a == f[x]].
-_ONE_HOT = np.eye(2)[list(np.ndindex(2, 2))]
-_DETERMINISTIC_TABLES = np.einsum("fxa,gyb->fgxyab", _ONE_HOT, _ONE_HOT).reshape(
-    16, 2, 2, 2, 2
-)
+_CELL_TABLES = np.eye(4).reshape(4, 2, 2)  # row 2a + b is one-hot at (a, b)
+# Row 8*f0 + 4*f1 + 2*g0 + g1 is the product box of a = f[x], b = g[y]: at
+# (x, y) it is the cell table of 2*f[x] + g[y].
+_DETERMINISTIC_TABLES = _CELL_TABLES[
+    [np.add.outer(2 * np.array(fg[:2]), fg[2:]) for fg in np.ndindex(2, 2, 2, 2)]
+]
 _DETERMINISTIC_TABLES.setflags(write=False)
 _DETERMINISTIC_LABELS = tuple(
     f"local:{f0},{f1},{g0},{g1}" for f0, f1, g0, g1 in np.ndindex(2, 2, 2, 2)
@@ -304,14 +312,7 @@ def convex_mix(
         raise ValueError(
             f"got {len(boxes)} boxes but {len(weights)} weights"
         )
-    w = np.asarray(weights, dtype=float)
-    if not np.all(np.isfinite(w)):
-        raise ValueError(f"weights must be finite, got {w.tolist()}")
-    if np.any(w < -eps):
-        raise ValueError(f"weights must be nonnegative, got {w.min()}")
-    total = float(w.sum())
-    if abs(total - 1.0) > eps:
-        raise ValueError(f"weights must sum to 1, got {total}")
+    w = _check_weights(weights, "weights", eps)
     p = np.zeros((2, 2, 2, 2))
     for box, weight in zip(boxes, w):
         p += weight * box.p
@@ -361,10 +362,8 @@ def conditional_b(
 
 def pr_constraint_holds(t: BoxTable, eps: float = DEFAULT_EPS) -> bool:
     """True iff every cell with probability above ``eps`` satisfies
-    (a + b) mod 2 = x*y.  A NaN or infinite entry raises ValueError."""
-    eps = _check_eps(eps)
-    _check_finite(t)
-    return not _off_support(t.p, eps)
+    (a + b) mod 2 = x*y."""
+    return not _off_support(t.p, _check_eps(eps))
 
 
 def _off_support(p: np.ndarray, eps: float) -> np.ndarray:

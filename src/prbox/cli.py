@@ -189,7 +189,8 @@ def _cmd_sample(args: argparse.Namespace, obj: BoxTable | HVModel) -> str:
 _MAX_GRID_POINTS = 10**6
 
 
-def _parse_grid(text: str) -> list[float]:
+def _parse_grid(text: str) -> tuple[Callable[[int], float], int]:
+    """The grid's k-th point as a function of k, and the number of points."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid must be start:stop:step, got {text!r}")
@@ -212,21 +213,20 @@ def _parse_grid(text: str) -> list[float]:
         raise ValueError(f"grid {text!r} has more than {_MAX_GRID_POINTS} points")
     if count == 0:
         raise ValueError(f"grid {text!r} contains no points")
-    return [point(k) for k in range(count)]
+    return point, count
 
 
 def _cmd_sweep(args: argparse.Namespace, _: None) -> str:
-    grid = _parse_grid(args.grid)
+    point, count = _parse_grid(args.grid)
     # The points never decrease and LambdaDist accepts the p0 of an interval,
-    # so the two ends decide the grid before any other point is built.
-    for p0 in grid[0], grid[-1]:
+    # so the two ends decide the grid before any other point is rounded.
+    for p0 in point(0), point(count - 1):
         try:
             LambdaDist.from_p0(p0)
         except ValueError as exc:
             raise ValueError(f"grid {args.grid!r} has point p0 = {p0!r}: {exc}") from None
-    dists = [LambdaDist.from_p0(p0) for p0 in grid]
-    points = lambda_sweep(dists, args.eps)
-    return _json_dumps([point.as_dict() for point in points])
+    dists = map(LambdaDist.from_p0, map(point, range(count)))
+    return _json_dumps([p.as_dict() for p in lambda_sweep(dists, args.eps)])
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -13,14 +13,15 @@ into B's observable marginal, which :func:`lambda_sweep` reports.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .box import DEFAULT_EPS, BoxTable, _check_bit, _check_eps, _off_support
+from .box import (
+    _CELL_TABLES, DEFAULT_EPS, BoxTable, _check_bit, _check_eps, _check_weights, _off_support
+)
 from .chsh import _chsh_s
 from .locality import Verdict, _verdicts
 
@@ -49,9 +50,6 @@ TRUTH_TABLE_ORDER: tuple[tuple[int, int, int], ...] = (
     (1, 1, 1),
 )
 
-_CELL_TABLES = np.eye(4).reshape(4, 2, 2)  # row 2a + b is one-hot at (a, b)
-
-
 @dataclass(frozen=True)
 class LambdaDist:
     """Distribution of the binary hidden variable."""
@@ -60,18 +58,7 @@ class LambdaDist:
     p1: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.p0) and math.isfinite(self.p1)):
-            raise ValueError(
-                f"lambda probabilities must be finite, got ({self.p0}, {self.p1})"
-            )
-        if self.p0 < -DEFAULT_EPS or self.p1 < -DEFAULT_EPS:
-            raise ValueError(
-                f"lambda probabilities must be nonnegative, got ({self.p0}, {self.p1})"
-            )
-        if abs(self.p0 + self.p1 - 1.0) > DEFAULT_EPS:
-            raise ValueError(
-                f"lambda probabilities must sum to 1, got {self.p0 + self.p1}"
-            )
+        _check_weights((self.p0, self.p1), "lambda probabilities", DEFAULT_EPS)
 
     @classmethod
     def from_p0(cls, p0: float) -> LambdaDist:

@@ -44,7 +44,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .box import DEFAULT_EPS, BoxTable, _check_eps, _check_finite, _swap
+from .box import DEFAULT_EPS, BoxTable, _check_eps, _swap
 
 __all__ = [
     "LocalityReport",
@@ -218,7 +218,5 @@ class LocalityReport:
 
 def locality_report(t: BoxTable, eps: float = DEFAULT_EPS) -> LocalityReport:
     """Run all five analyses on one table from one comparison of its 72 cells."""
-    eps = _check_eps(eps)
-    _check_finite(t)
-    ns, cd, oi, factorizable = _verdicts(t.p, eps)
+    ns, cd, oi, factorizable = _verdicts(t.p, _check_eps(eps))
     return LocalityReport(ns, oi, ns, factorizable if ns.holds else ns, cd)

@@ -27,7 +27,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .box import BoxTable, _check_count, _check_finite, _check_seed
+from .box import BoxTable, _check_count, _check_seed
 from .chsh import ChshResult, chsh_value
 from .hidden_variable import HVModel
 
@@ -136,7 +136,6 @@ def _draw(obj: BoxTable | HVModel, trials: int, seed: int) -> Iterator[tuple]:
         cells = (2 * obj.responses[0] + obj.responses[1]).reshape(4, 2)
         shared = _RECORDS[np.arange(4)[:, None], [1, 2], cells]
     else:
-        _check_finite(obj)
         # The fourth boundary is 1, above every u in [0, 1), so it is left out.
         bounds = np.cumsum(np.clip(obj.p.reshape(4, 4), 0.0, None), axis=1)[:, :3]
         shared = _RECORDS[:, 0]
@@ -212,9 +211,7 @@ class ComparisonResult:
 
 def compare(e: EmpiricalTable, t: BoxTable) -> ComparisonResult:
     """L-infinity distance between empirical frequencies and exact
-    probabilities, with signed per-cell deltas (frequency minus exact).
-    A NaN or infinite entry of ``t`` raises ValueError."""
-    _check_finite(t)
+    probabilities, with signed per-cell deltas (frequency minus exact)."""
     deltas = e.frequencies() - t.p
     per_cell = {
         (x, y, a, b): float(deltas[x, y, a, b]) for x, y, a, b in np.ndindex(2, 2, 2, 2)

@@ -7,6 +7,7 @@ purpose."""
 import ast
 import importlib
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -134,6 +135,20 @@ def test_each_public_name_has_one_owner(name):
     assert len(owners) == 1
     assert name in _defined_at_top_level(owners[0])
     assert getattr(prbox, name) is getattr(owners[0], name)
+
+
+def test_each_input_rule_is_defined_in_box():
+    """Every input rule, a function named ``_check_*`` or ``_require_*``,
+    nested ones and methods included, is defined in box.py."""
+    rules = [
+        (path.name, node.name)
+        for path in sorted(Path(prbox.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith(("_check_", "_require_"))
+    ]
+    assert {"_check_eps", "_require_valid"} <= {name for _, name in rules}
+    assert [rule for rule in rules if rule[0] != "box.py"] == []
 
 
 def test_package_names_are_the_owners_lists():

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -30,6 +31,32 @@ from prbox import (
 )
 
 EPS = 1e-9
+FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestFiniteByConstruction:
+    """BoxTable owns the finite rule, so every way of building a table refuses
+    a NaN or infinite entry and names the first one in (x, y, a, b) order."""
+
+    @given(
+        st.lists(FINITE_FLOATS, min_size=16, max_size=16),
+        st.dictionaries(st.integers(0, 15), st.sampled_from([math.nan, math.inf, -math.inf])),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_non_finite_entry_refused_by_every_constructor(self, entries, bad):
+        for k, value in bad.items():
+            entries[k] = value
+        p = np.array(entries).reshape(2, 2, 2, 2)
+        if not bad:
+            assert BoxTable(p, "t").p.tobytes() == p.tobytes()
+            return
+        x, y, a, b = np.unravel_index(min(bad), (2, 2, 2, 2))
+        message = f"box 't': non-finite entry at (x={x}, y={y}, a={a}, b={b}): {bad[min(bad)]}"
+        data = {"label": "t", "p": p.tolist()}
+        calls = [(BoxTable, p, "t"), (BoxTable.from_dict, data), (from_json, json.dumps(data))]
+        for build, *args in calls:
+            with pytest.raises(BoxFormatError, match=f"^{re.escape(message)}$"):
+                build(*args)
 
 
 class TestValidate:
@@ -63,26 +90,20 @@ class TestValidate:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entry_reported(self, bad):
+        # no table holds a non-finite entry, so validate never meets one
         p = pr_box().p.copy()
         p[1, 1, 0, 1] = bad
-        result = validate(BoxTable(p))
-        assert not result.ok
-        issue = [i for i in result.issues if i.kind == "non_finite"]
-        assert len(issue) == 1
-        assert (issue[0].x, issue[0].y, issue[0].a, issue[0].b) == (1, 1, 0, 1)
-        assert "non-finite entry at (x=1, y=1, a=0, b=1)" in str(issue[0])
-        assert not any(i.kind == "range" for i in result.issues)
+        with pytest.raises(BoxFormatError, match=r"non-finite entry at \(x=1, y=1, a=0, b=1\)"):
+            BoxTable(p)
 
     def test_issue_order_normalization_then_cells(self):
         p = np.full((2, 2, 2, 2), 0.25)
         p[1, 1, 1, 0] = 1.5
-        p[0, 1, 0, 0] = np.nan
         p[1, 0, 0, 1] = -0.5
         kinds = [(i.kind, i.x, i.y, i.a, i.b) for i in validate(BoxTable(p)).issues]
         assert kinds == [
             ("normalization", 1, 0, None, None),
             ("normalization", 1, 1, None, None),
-            ("non_finite", 0, 1, 0, 0),
             ("range", 1, 0, 0, 1),
             ("range", 1, 1, 1, 0),
         ]
@@ -229,6 +250,16 @@ class TestConvexMix:
         with pytest.raises(ValueError, match="finite"):
             convex_mix([pr_box(), uniform_box()], [bad, 0.5])
 
+    @pytest.mark.parametrize(
+        "weights", [(math.nan, 0.5), (0.5, -math.inf), (2.0, -1.0), (0.5, 0.6), ("0.5", 0.5)]
+    )
+    def test_lambda_dist_applies_the_same_rule(self, weights):
+        with pytest.raises((ValueError, TypeError)) as mixed:
+            convex_mix([pr_box(), uniform_box()], weights)
+        with pytest.raises(type(mixed.value)) as dist:
+            LambdaDist(*weights)
+        assert str(dist.value).replace("lambda probabilities", "weights") == str(mixed.value)
+
     @given(st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
     @settings(max_examples=50, deadline=None)
     def test_mix_of_valid_tables_is_valid(self, seed, w):
@@ -366,9 +397,7 @@ def reference_issues(t, eps):
     ]
     for x, y, a, b in np.ndindex(2, 2, 2, 2):
         value = float(t.p[x, y, a, b])
-        if not math.isfinite(value):
-            issues.append(ValidationIssue("non_finite", x, y, a, b, value))
-        elif value < -eps or value > 1.0 + eps:
+        if value < -eps or value > 1.0 + eps:
             issues.append(ValidationIssue("range", x, y, a, b, value))
     return issues
 
@@ -382,7 +411,7 @@ def edge_tables(draw):
     below is exact, so entries and sums land exactly on -eps, 1 + eps and 1 +- eps."""
     eps = draw(st.sampled_from([2.0**-10, 1e-9, 0.2]))
     nudges = [0.0, eps, -eps, 2 * eps, -2 * eps]
-    replacements = [-eps, 1.0 + eps, -2 * eps, 1.0 + 2 * eps, -0.0, 5e-324, np.nan, np.inf, -np.inf]
+    replacements = [-eps, 1.0 + eps, -2 * eps, 1.0 + 2 * eps, -0.0, 5e-324, 1e300, -1e300]
     p = np.array([draw(st.sampled_from(ROWS)) for _ in range(4)]).reshape(2, 2, 2, 2)
     for cell in np.ndindex(2, 2, 2, 2):
         kind = draw(st.integers(0, 9))
@@ -394,7 +423,7 @@ def edge_tables(draw):
 
 
 SPECIAL_FLOATS = st.sampled_from(
-    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, np.nan, np.inf, -np.inf, 1e300, 0.1]
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1e300, 0.1]
 )
 LABELS = st.text(st.sampled_from('"\\{}%s\n\t\x00\x1f\x7fé☃\U0001f600 ,:[]') | st.characters())
 
@@ -422,7 +451,7 @@ class TestFastPaths:
         issues = validate(BoxTable(p), eps).issues
         assert [(i.kind, i.x, i.y) for i in issues] == [("normalization", 1, 0)]
 
-    @given(st.lists(st.floats() | SPECIAL_FLOATS, min_size=16, max_size=16), LABELS)
+    @given(st.lists(FINITE_FLOATS | SPECIAL_FLOATS, min_size=16, max_size=16), LABELS)
     @settings(max_examples=300, deadline=None)
     def test_to_json_equals_the_indented_encoder(self, entries, label):
         table = BoxTable(np.array(entries).reshape(2, 2, 2, 2), label)

@@ -29,6 +29,11 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def grid_values(text):
+    point, count = _parse_grid(text)
+    return [point(k) for k in range(count)]
+
+
 class TestParseBoxSpec:
     def test_pr(self):
         assert parse_box_spec("pr").allclose(pr_box())
@@ -290,7 +295,7 @@ class TestExitCodes:
         assert "more than 1000000 points" in err
 
     def test_grid_bound_is_exact(self):
-        assert len(_parse_grid("0:999999:1")) == 10**6
+        assert _parse_grid("0:999999:1")[1] == 10**6
         with pytest.raises(ValueError, match="more than"):
             _parse_grid("0:1000000:1")
 
@@ -304,7 +309,7 @@ class TestExitCodes:
         while (value := round(start + k * step, 12)) <= stop + step * 1e-9:
             expected.append(value)
             k += 1
-        assert repr(_parse_grid(grid)) == repr(expected)
+        assert repr(grid_values(grid)) == repr(expected)
 
     def test_csv_rejected_for_json_only_commands(self):
         with pytest.raises(SystemExit) as err:
@@ -435,7 +440,8 @@ class TestSweepChecksTheEndsFirst:
 
 
 class TestGridWithoutWalking:
-    def test_refused_grid_is_not_walked(self, monkeypatch):
+    @pytest.fixture
+    def evaluated(self, monkeypatch):
         evaluated = []
 
         def counting_round(value, digits):
@@ -443,9 +449,18 @@ class TestGridWithoutWalking:
             return round(value, digits)
 
         monkeypatch.setattr("prbox.cli.round", counting_round, raising=False)
+        return evaluated
+
+    def test_refused_grid_is_not_walked(self, evaluated):
         with pytest.raises(ValueError, match="more than 1000000 points"):
             _parse_grid("0:1:1e-300")
         assert 0 < len(evaluated) <= 64
+
+    def test_refused_sweep_rounds_only_the_count_and_the_ends(self, capsys, evaluated):
+        code, out, err = run(capsys, "sweep", "--grid", "0:999999:1")
+        assert (code, out) == (3, "")
+        assert err.startswith("error: grid '0:999999:1' has point p0 = 999999.0: ")
+        assert 0 < len(evaluated) <= 64 + 2
 
     @given(
         start=st.floats(-1e3, 1e3),
@@ -465,4 +480,4 @@ class TestGridWithoutWalking:
             with pytest.raises(ValueError, match="contains no points"):
                 _parse_grid(text)
         else:
-            assert repr(_parse_grid(text)) == repr(expected)
+            assert repr(grid_values(text)) == repr(expected)
