@@ -11,8 +11,12 @@ amplitudes, +-1/sqrt(2), and every other term of the generic complex
 contraction ``einsum("...xai,ij,...ybj->...xyab", va, psi, vb)`` is an
 exact zero, so each expectation is evaluated as its two real products in
 the contraction's own rounding order, and the tables are bit for bit the
-contraction's.  They are built C-contiguous because ``chsh``'s
-correlation sum adds in an order that follows memory layout: a
+contraction's.  The products run settings first: the angle rows are
+transposed once to ``(4, rows)`` and every ufunc then runs along a
+contiguous row axis, so a block of rows costs a few long loops rather
+than one short loop per row.  One transposing copy at the end gives the
+C-contiguous ``(rows, 2, 2, 2, 2)`` tables that ``chsh``'s correlation
+sum needs, since it adds in an order that follows memory layout: a
 transposed stack of the same tables can give different s bits.  One
 array path serves both a single table and a stack of them:
 :func:`singlet_box` is its one-row case and the random search runs it
@@ -97,6 +101,22 @@ _R = singlet().amplitudes[1].real
 _SEARCH_BLOCK = 4096
 
 
+def _amplitude_factors(rows: np.ndarray) -> np.ndarray:
+    """v[setting, component, outcome, row] of angle rows ``(rows, 4)``, the
+    A settings' vectors already multiplied by r.
+
+    A function of its own so that the half angles and their cos and sin are
+    freed before :func:`_singlet_tables` allocates its products: the lower
+    peak keeps the freed heap from being handed back to the system and
+    faulted in again on every search block.
+    """
+    half = np.divide(rows.T, 2.0, order="C")
+    c, s = np.cos(half), np.sin(half)
+    v = np.concatenate((c, -s, s, c), axis=1).reshape(4, 2, 2, -1)
+    v[:2] *= _R
+    return v
+
+
 def _singlet_tables(theta: np.ndarray) -> np.ndarray:
     """C-contiguous tables ``(..., 2, 2, 2, 2)`` of angle rows ``(..., 4)``
     (a0, a1, b0, b1): p(x, y, a, b) = |<v_a(theta_Ax) (x) v_b(theta_By) | psi>|^2,
@@ -105,15 +125,17 @@ def _singlet_tables(theta: np.ndarray) -> np.ndarray:
 
     The amplitude is (v_a0 r) v_b1 - (v_a1 r) v_b0, rounded in that order as
     the complex contraction rounds it; its real square is |.|^2 exactly.
+    It is formed in place as ``[x, y, a, b, row]`` from half angles
+    ``(4, rows)``, and one transposing copy puts the rows first; a single row
+    needs no copy.
     """
-    half = np.ascontiguousarray(theta, dtype=float) / 2.0
-    c, s = np.cos(half), np.sin(half)
-    # v[..., setting, outcome, component] for the settings a0, a1, b0, b1
-    v = np.stack([c, s, -s, c], axis=-1).reshape(*half.shape, 2, 2)
-    # broadcast to [..., x, y, a, b, component]
-    wa = v[..., :2, None, :, None, :] * _R
-    vb = v[..., None, 2:, None, :, :]
-    return (wa[..., 0] * vb[..., 1] - wa[..., 1] * vb[..., 0]) ** 2
+    theta = np.asarray(theta, dtype=float)
+    v = _amplitude_factors(theta.reshape(-1, 4))
+    rows = v.shape[-1]
+    p = v[:2, None, 0, :, None] * v[None, 2:, 1, None, :]
+    p -= v[:2, None, 1, :, None] * v[None, 2:, 0, None, :]
+    p **= 2
+    return np.ascontiguousarray(p.reshape(16, rows).T).reshape(theta.shape[:-1] + (2, 2, 2, 2))
 
 
 def singlet_box(angles: MeasurementAngles) -> BoxTable:
@@ -129,17 +151,19 @@ def max_chsh_over_random_angles(
     """Random search over angle quadruples; returns (max |s|, argmax angles).
 
     Every point goes through the same singlet-table and CHSH arithmetic as
-    :func:`singlet_box` and ``chsh_value``, evaluated block-wise so memory
-    stays bounded.  Ties keep the first maximum.  ``n_points`` and ``seed``
-    follow the samplers' rules; the seed goes to ``default_rng`` unreduced.
+    :func:`singlet_box` and ``chsh_value``.  The angles are drawn and
+    evaluated block by block, so memory stays bounded; the stream is the one
+    a single draw of all ``n_points`` rows gives.  Ties keep the first
+    maximum.  ``n_points`` and ``seed`` follow the samplers' rules; the seed
+    goes to ``default_rng`` unreduced.
     """
     n_points = int(_check_count(n_points, "n_points"))
     rng = np.random.default_rng(_check_seed(seed))
-    samples = rng.uniform(0.0, 2.0 * math.pi, size=(n_points, 4))
-    best_abs, best = -1.0, 0
+    best_abs, best = -1.0, None
     for start in range(0, n_points, _SEARCH_BLOCK):
-        s = np.abs(_chsh_s(_singlet_tables(samples[start : start + _SEARCH_BLOCK]))[1])
+        rows = rng.uniform(0.0, 2.0 * math.pi, size=(min(_SEARCH_BLOCK, n_points - start), 4))
+        s = np.abs(_chsh_s(_singlet_tables(rows))[1])
         k = int(np.argmax(s))
         if s[k] > best_abs:
-            best_abs, best = s[k], start + k
-    return float(best_abs), MeasurementAngles(*samples[best])
+            best_abs, best = s[k], rows[k].tolist()
+    return float(best_abs), MeasurementAngles(*best)

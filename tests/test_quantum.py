@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -72,7 +73,7 @@ def reference_search(n_points, seed):
     samples = np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, size=(n_points, 4))
     best_abs, best = -1.0, None
     for row in samples:
-        angles = MeasurementAngles(*row)
+        angles = MeasurementAngles(*row.tolist())
         s = abs(chsh_value(singlet_box(angles)).s)
         if s > best_abs:
             best_abs, best = s, angles
@@ -193,6 +194,30 @@ class TestTablesEqualTheEinsum:
         assert_same_bits_as_einsum(np.asfortranarray(theta))
         assert_same_bits_as_einsum(theta.T.copy().T)
 
+    def test_empty_stack(self):
+        theta = np.empty((0, 4))
+        assert _singlet_tables(theta).shape == (0, 2, 2, 2, 2)
+        assert_same_bits_as_einsum(theta)
+
+    def test_one_row_in_every_form(self):
+        row = (0.3, -2.0, 1e3, 5e-324)
+        assert_same_bits_as_einsum(row)
+        assert_same_bits_as_einsum(np.array(row))
+        assert_same_bits_as_einsum(np.array([row]))
+        assert _singlet_tables(row).tobytes() == _singlet_tables([row]).tobytes()
+
+    def test_read_only_rows(self):
+        theta = np.random.default_rng(3).uniform(-10.0, 10.0, size=(9, 4))
+        theta.setflags(write=False)
+        assert_same_bits_as_einsum(theta)
+        assert_same_bits_as_einsum(theta[4])
+
+    def test_two_batch_axes(self):
+        theta = np.random.default_rng(8).uniform(-10.0, 10.0, size=(3, 5, 4))
+        assert_same_bits_as_einsum(theta)
+        flat = _singlet_tables(theta.reshape(15, 4))
+        assert _singlet_tables(theta).tobytes() == flat.tobytes()
+
 
 class TestTsirelson:
     def test_optimal_angles_attain_the_quantum_bound(self):
@@ -228,6 +253,20 @@ class TestTsirelson:
     def test_search_values_are_pinned(self, seed, best_hex):
         # the complex einsum tables gave these bits; a faster path must too
         assert max_chsh_over_random_angles(10**4, seed)[0].hex() == best_hex
+
+    def test_search_angles_are_plain_floats(self):
+        _, angles = max_chsh_over_random_angles(3 * _SEARCH_BLOCK + 7, 2)
+        assert [type(t) for t in vars(angles).values()] == [float] * 4
+
+    def test_search_memory_is_bounded_by_the_block(self):
+        # all 10**6 angle rows take 32 MiB; one block's work stays far below that
+        tracemalloc.start()
+        try:
+            max_chsh_over_random_angles(10**6, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_search_keeps_the_first_of_tied_maxima(self, monkeypatch):
         # every row ties at |s| = 1, so the first sampled row must win
