@@ -4,11 +4,11 @@
 Draws angle quadruples uniformly, evaluates the singlet box at each, and
 reports the best |s| found together with its gap to 2*sqrt(2).  The gap
 shrinks with the point count but never goes negative.  The search is
-block-batched: each block of a few thousand points is drawn, becomes
-singlet tables through real products over the singlet's two nonzero
-amplitudes and CHSH values through one einsum, so ``--points 1000000``
-runs in under half a second (0.42-0.44 s in process on a 2-CPU x86_64 VM)
-in bounded memory.
+block-batched: each block of a few thousand points is drawn, and its CHSH
+values are read from the two distinct outcome probabilities of each
+setting pair, E = 2(P - Q), with the bits the full singlet tables would
+give, so ``--points 1000000`` runs in about half a second (0.40-0.51 s in
+process on a 2-CPU x86_64 VM) in bounded memory.
 """
 
 from __future__ import annotations

@@ -96,7 +96,7 @@ def _check_count(values: object, name: str, least: int = 1) -> np.ndarray:
         except OverflowError:
             raise ValueError(f"{name} must be int64 integers, got {values!r}") from None
     for bad, rule in (cast != raw, "integers"), (cast < least, f">= {least}"):
-        if np.any(bad):
+        if np.count_nonzero(bad):  # about a third of np.any's cost on a scalar's 0-d result
             raise ValueError(f"{name} must be {rule}, got {raw[bad].tolist()[0]!r}")
     return cast
 

@@ -22,14 +22,17 @@ from prbox import (
     validate,
 )
 from prbox import quantum
-from prbox.quantum import _SEARCH_BLOCK, _singlet_tables
+from prbox.chsh import _chsh_s
+from prbox.quantum import _SEARCH_BLOCK, _abs_chsh, _singlet_pq, _singlet_tables
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
 
 angle = st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False)
 any_angle = st.floats(allow_nan=False, allow_infinity=False)
 
-EXTREME_ANGLES = [0.0, -0.0, math.pi, -math.pi, math.pi / 2, 1e308, -1e308, 5e-324]
+EXTREME_ANGLES = [
+    0.0, -0.0, math.pi, -math.pi, math.pi / 2, 1e308, -1e308, 5e-324, 2 * math.pi, 1e-300
+]
 
 
 def oracle_projector_table(angles):
@@ -61,10 +64,14 @@ def einsum_reference_tables(theta):
 
 
 def assert_same_bits_as_einsum(theta):
+    """The tables are the einsum's, and p(x, y, 1, 1) has the bytes of
+    p(x, y, 0, 0) and p(x, y, 1, 0) those of p(x, y, 0, 1)."""
     tables = _singlet_tables(theta)
     assert tables.flags.c_contiguous
     assert tables.shape == np.shape(theta)[:-1] + (2, 2, 2, 2)
     assert tables.tobytes() == einsum_reference_tables(theta).tobytes()
+    assert tables[..., 1, 1].tobytes() == tables[..., 0, 0].tobytes()
+    assert tables[..., 1, 0].tobytes() == tables[..., 0, 1].tobytes()
 
 
 def reference_search(n_points, seed):
@@ -166,8 +173,8 @@ class TestSingletBox:
 
 
 class TestTablesEqualTheEinsum:
-    """The real-product tables are the complex contraction's, bit for bit,
-    and C-contiguous, which the layout-dependent CHSH sum needs."""
+    """The tables, filled as (P, Q, Q, P), are the complex contraction's bit
+    for bit, and C-contiguous, which the layout-dependent CHSH sum needs."""
 
     @given(st.lists(st.tuples(any_angle, any_angle, any_angle, any_angle), min_size=1, max_size=40))
     @settings(max_examples=80, deadline=None)
@@ -178,7 +185,7 @@ class TestTablesEqualTheEinsum:
     def test_every_quadruple_of_extreme_angles(self):
         rows = np.array(list(itertools.product(EXTREME_ANGLES, repeat=4)))
         assert_same_bits_as_einsum(rows)
-        assert_same_bits_as_einsum(rows.reshape(8, 512, 4))
+        assert_same_bits_as_einsum(rows.reshape(10, 1000, 4))
         for row in rows[::97]:
             assert_same_bits_as_einsum(row)
 
@@ -217,6 +224,33 @@ class TestTablesEqualTheEinsum:
         assert_same_bits_as_einsum(theta)
         flat = _singlet_tables(theta.reshape(15, 4))
         assert _singlet_tables(theta).tobytes() == flat.tobytes()
+
+
+def random_blocks():
+    """Angle blocks of several sizes at the search's scale, at 1e3 and over
+    every magnitude from 1e-300 to 1e300."""
+    rng = np.random.default_rng(23)
+    for size in (1, 2, 3, 7, 1000, _SEARCH_BLOCK):
+        yield rng.uniform(0.0, 2.0 * math.pi, size=(size, 4))
+        yield rng.uniform(-1e3, 1e3, size=(size, 4))
+        yield rng.choice([-1.0, 1.0], size=(size, 4)) * 10.0 ** rng.uniform(-300, 300, (size, 4))
+
+
+class TestSearchArithmetic:
+    """The search reads E = 2(P - Q) in place of ``_chsh_s``'s einsum over
+    the tables; both must give the same bits."""
+
+    def test_correlations_are_twice_p_minus_q(self):
+        # fails on a numpy whose einsum adds the four outcome terms in sequence
+        for rows in random_blocks():
+            p, q = _singlet_pq(rows)
+            e, _ = _chsh_s(_singlet_tables(rows))
+            assert e.tobytes() == (2.0 * (p - q)).tobytes()
+
+    def test_search_values_equal_the_table_route(self):
+        for rows in random_blocks():
+            expected = np.abs(_chsh_s(_singlet_tables(rows))[1])
+            assert _abs_chsh(rows).tobytes() == expected.tobytes()
 
 
 class TestTsirelson:
@@ -270,7 +304,7 @@ class TestTsirelson:
 
     def test_search_keeps_the_first_of_tied_maxima(self, monkeypatch):
         # every row ties at |s| = 1, so the first sampled row must win
-        monkeypatch.setattr(quantum, "_chsh_s", lambda p: (None, -np.ones(len(p))))
+        monkeypatch.setattr(quantum, "_abs_chsh", lambda rows: np.ones(len(rows)))
         n_points = 2 * _SEARCH_BLOCK + 3
         first = np.random.default_rng(4).uniform(0.0, 2.0 * math.pi, size=(n_points, 4))[0]
         assert max_chsh_over_random_angles(n_points, 4) == (1.0, MeasurementAngles(*first))
