@@ -7,8 +7,8 @@ shrinks with the point count but never goes negative.  The search is
 block-batched: each block of a few thousand points is drawn, and its CHSH
 values are read from the two distinct outcome probabilities of each
 setting pair, E = 2(P - Q), with the bits the full singlet tables would
-give, so ``--points 1000000`` runs in about half a second (0.40-0.51 s in
-process on a 2-CPU x86_64 VM) in bounded memory.
+give, so ``--points 1000000`` runs in about a third of a second (0.29-0.34 s
+in process on a 2-CPU x86_64 VM) in bounded memory.
 """
 
 from __future__ import annotations

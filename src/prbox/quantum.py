@@ -6,25 +6,30 @@ sin(theta) sigma_x, with +1 eigenvector (cos(theta/2), sin(theta/2)) and
 -1 eigenvector (-sin(theta/2), cos(theta/2)).  The eigenvalue +1 maps to
 outcome 0 and -1 to outcome 1, so signed outcomes are recovered by
 a' = 1 - 2a.  Joint probabilities are rank-1 projector expectations on
-the 4-amplitude state vector.  The singlet has only two nonzero
-amplitudes, +-1/sqrt(2), and every other term of the generic complex
-contraction ``einsum("...xai,ij,...ybj->...xyab", va, psi, vb)`` is an
-exact zero, so each expectation is evaluated as its two real products in
-the contraction's own rounding order, and the tables are bit for bit the
-contraction's.
+the 4-amplitude state vector.
 
-Two of the four outcome cells of a setting pair repeat the other two.
-With C = fl(cos(theta_A/2) r), S = fl(sin(theta_A/2) r) and c, s of
-theta_B/2, the amplitude at (a, b) = (1, 1) is fl(fl(-S c) - fl(C (-s))),
-the same double as fl(fl(C s) - fl(S c)) at (0, 0), and the one at (1, 0)
-is minus the one at (0, 1), since negation is exact.  So every table is
-p(x, y, 0, 0) = p(x, y, 1, 1) = P and p(x, y, 0, 1) = p(x, y, 1, 0) = Q,
-bit for bit, and only P and Q are computed (:func:`_singlet_pq`), each
-ufunc running along a contiguous axis of rows.  :func:`singlet_box` is
-the one-row case of the tables filled as (P, Q, Q, P).  The random search
-builds no table: ``chsh``'s einsum adds E(x, y) = P - Q - Q + P pairwise,
-as (P - Q) + (P - Q), which is 2(P - Q) exactly, so the search reads its
-CHSH values from P and Q directly, with the same bits.
+The singlet has only two nonzero amplitudes, r = 1/sqrt(2) at |01> and -r
+at |10>, so every other term of the generic complex contraction
+``einsum("...xai,ij,...ybj->...xyab", va, psi, vb)`` is an exact zero and
+each amplitude is two real products.  With C, S = fl(cos, sin(theta_Ax/2) r)
+and c, s = cos, sin(theta_By/2), the table of a setting pair (x, y) is
+
+    P = p(x, y, 0, 0) = p(x, y, 1, 1) = (C s - S c)^2
+    Q = p(x, y, 0, 1) = p(x, y, 1, 0) = (C c + S s)^2
+
+bit for bit the contraction's.  It rounds the amplitude at (0, 1) as
+C c - S (-s), which is C c + S s since negation is exact; the one at (1, 1)
+as fl(-S c) - fl(C (-s)), the same double as C s - S c at (0, 0); and the
+one at (1, 0) as minus the one at (0, 1).  cos and sin must run on
+contiguous arrays, as the contraction's do: numpy picks its vectorised
+loops by memory layout, and the bits are pinned for contiguous input only.
+
+:func:`_singlet_pq` evaluates P and Q for a block of angle rows, and
+:func:`singlet_box`, the one table builder, fills its 16 cells from one
+row's.  The random search builds no table: ``chsh``'s einsum adds
+E(x, y) = P - Q - Q + P pairwise, as (P - Q) + (-Q + P), which is 2(P - Q)
+exactly, so the search reads its CHSH values from P and Q directly
+(:func:`_abs_chsh`), with the same bits.
 """
 
 from __future__ import annotations
@@ -103,33 +108,9 @@ _R = singlet().amplitudes[1].real
 # Rows of the random search evaluated per block; bounds its working memory.
 _SEARCH_BLOCK = 4096
 
-# The factor rows are cos (0-3), sin (4-7) and -sin (8-11) of the half angles
-# (a0, a1, b0, b1); the A rows are multiplied by r and the B rows by 1.0,
-# which is exact.
-_FACTOR_SCALE = np.array([_R, _R, 1.0, 1.0] * 2)[:, None]
-
-# Cell (b, x, y) of the a = 0 amplitudes is f[i] f[j] - f[k] f[l], with
-# ((i, k), (j, l)) = _TERMS[:, :, cell]: C_x s_y - S_x c_y at b = 0 and
-# C_x c_y - S_x (-s_y) at b = 1.
-_TERMS = np.array(
-    [[[x, 4 + x], [(6, 2)[b] + y, (2, 10)[b] + y]] for b, x, y in np.ndindex(2, 2, 2)]
-).transpose(1, 2, 0)
-
 # Table cell (x, y, a, b) is P = pq[0, x, y] where a == b and Q = pq[1, x, y]
 # where a != b.
 _CELLS = np.array([4 * (a ^ b) + 2 * x + y for x, y, a, b in np.ndindex(2, 2, 2, 2)])
-
-
-def _amplitude_factors(rows: np.ndarray) -> np.ndarray:
-    """Factor rows f ``(12, rows)`` of angle rows ``(rows, 4)``: cos, sin and
-    -sin of the half angles, the A settings' already multiplied by r."""
-    half = np.divide(rows.T, 2.0, order="C")
-    f = np.empty((12, len(rows)))
-    np.cos(half, out=f[:4])
-    np.sin(half, out=f[4:8])
-    f[:8] *= _FACTOR_SCALE
-    np.negative(f[4:8], out=f[8:])
-    return f
 
 
 def _singlet_pq(rows: np.ndarray) -> np.ndarray:
@@ -137,34 +118,26 @@ def _singlet_pq(rows: np.ndarray) -> np.ndarray:
     b1): P = pq[0] is p(x, y, 0, 0) and Q = pq[1] is p(x, y, 0, 1), each
     indexed ``[x, y, row]``.
 
-    p(x, y, a, b) = |<v_a(theta_Ax) (x) v_b(theta_By) | psi>|^2, the rank-1
-    projector expectation, with v_0 = (c, s) and v_1 = (-s, c) at theta/2.
-    The amplitude is (v_a0 r) v_b1 - (v_a1 r) v_b0, rounded in that order as
-    the complex contraction rounds it; its real square is |.|^2 exactly.
+    P = (C_x s_y - S_x c_y)^2 and Q = (C_x c_y + S_x s_y)^2, with C, S =
+    fl(cos, sin(theta_Ax / 2) r) and c, s = cos, sin(theta_By / 2).
     """
-    products, right = _amplitude_factors(rows).take(_TERMS, axis=0)  # [term, cell, row]
-    products *= right
-    pq = products[0] - products[1]
+    half = np.divide(rows.T, 2.0, order="C")
+    cs = np.empty((2, 4, len(rows)))  # [cos, sin][a0, a1, b0, b1][row]
+    np.cos(half, out=cs[0])
+    np.sin(half, out=cs[1])
+    cs[:, :2] *= _R
+    # t[i, j, x, y] = (C, S)[i][x] * (s, c)[j][y]
+    t = cs[:, None, :2, None] * cs[None, ::-1, None, 2:]
+    t[0, 0] -= t[1, 1]  # C s - S c, squared to P
+    t[0, 1] += t[1, 0]  # C c + S s, squared to Q
+    pq = t[0]
     pq **= 2
-    return pq.reshape(2, 2, 2, len(rows))
-
-
-def _singlet_tables(theta: np.ndarray) -> np.ndarray:
-    """C-contiguous tables ``(..., 2, 2, 2, 2)`` of angle rows ``(..., 4)``,
-    each filled as (P, Q, Q, P) from :func:`_singlet_pq`.
-
-    One gather lays out the 16 cells of every row and one transposing copy
-    puts the rows first; a single row needs no copy.
-    """
-    theta = np.asarray(theta, dtype=float)
-    rows = theta.reshape(-1, 4)
-    cells = _singlet_pq(rows).reshape(8, len(rows)).take(_CELLS, axis=0)
-    return np.ascontiguousarray(cells.T).reshape(theta.shape[:-1] + (2, 2, 2, 2))
+    return pq
 
 
 def _abs_chsh(rows: np.ndarray) -> np.ndarray:
-    """|s| of each angle row ``(rows, 4)``, with the bits of
-    ``abs(chsh._chsh_s(_singlet_tables(rows))[1])`` but no table.
+    """|s| of each angle row ``(rows, 4)``, with the bits that
+    :func:`singlet_box` and ``chsh_value`` give the row, but no table.
 
     E = 2(P - Q) is the einsum's pairwise sum (P - Q) + (-Q + P), and s adds
     the four E in ``_chsh_s``'s order.
@@ -182,7 +155,8 @@ def singlet_box(angles: MeasurementAngles) -> BoxTable:
     """Joint outcome table of planar spin measurements on the singlet."""
     theta = (angles.theta_a0, angles.theta_a1, angles.theta_b0, angles.theta_b1)
     label = "singlet:" + ",".join(f"{t:g}" for t in theta)
-    return BoxTable(_singlet_tables(theta), label)
+    table = _singlet_pq(np.array([theta], dtype=float)).take(_CELLS).reshape(2, 2, 2, 2)
+    return BoxTable(table, label)
 
 
 def max_chsh_over_random_angles(

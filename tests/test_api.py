@@ -1,12 +1,13 @@
 """The public API, pinned: names in ``prbox.__all__``, the one module that
 owns each of them, and the parameters of the locality checks, the lambda
-sweep, the random search, the samplers, validation, mixing and JSON loading.
-A change here is a change of the public interface and should be made on
-purpose."""
+sweep, the random search, the samplers, validation, mixing and JSON loading,
+and the modules the package imports.  A change here is a change of the
+public interface and should be made on purpose."""
 
 import ast
 import importlib
 import inspect
+import sys
 from pathlib import Path
 
 import pytest
@@ -149,6 +150,22 @@ def test_each_input_rule_is_defined_in_box():
     ]
     assert {"_check_eps", "_require_valid"} <= {name for _, name in rules}
     assert [rule for rule in rules if rule[0] != "box.py"] == []
+
+
+def test_imports_are_stdlib_numpy_or_prbox():
+    """pyproject.toml declares numpy as the one dependency, so every import
+    in the package, nested ones included, is of the standard library, numpy
+    or prbox itself; scipy and the test tools stay out."""
+    allowed = sys.stdlib_module_names | {"numpy", "prbox"}
+    imports = []
+    for path in sorted(Path(prbox.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imports += [(path.name, alias.name) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imports.append((path.name, node.module))
+    assert ("quantum.py", "numpy") in imports
+    assert [(f, m) for f, m in imports if m.partition(".")[0] not in allowed] == []
 
 
 def test_package_names_are_the_owners_lists():

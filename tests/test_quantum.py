@@ -23,7 +23,7 @@ from prbox import (
 )
 from prbox import quantum
 from prbox.chsh import _chsh_s
-from prbox.quantum import _SEARCH_BLOCK, _abs_chsh, _singlet_pq, _singlet_tables
+from prbox.quantum import _SEARCH_BLOCK, _abs_chsh, _singlet_pq
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
 
@@ -54,7 +54,7 @@ def oracle_projector_table(angles):
 
 def einsum_reference_tables(theta):
     """The generic complex three-operand contraction over the singlet's 2x2
-    amplitudes, which the real-product tables must equal bit for bit."""
+    amplitudes, which P, Q and the tables must equal bit for bit."""
     half = np.asarray(theta, dtype=float) / 2.0
     c, s = np.cos(half), np.sin(half)
     v = np.stack([c, s, -s, c], axis=-1).reshape(*half.shape, 2, 2)
@@ -63,15 +63,24 @@ def einsum_reference_tables(theta):
     return np.abs(np.einsum("...xai,ij,...ybj->...xyab", va, psi, vb)) ** 2
 
 
-def assert_same_bits_as_einsum(theta):
-    """The tables are the einsum's, and p(x, y, 1, 1) has the bytes of
-    p(x, y, 0, 0) and p(x, y, 1, 0) those of p(x, y, 0, 1)."""
-    tables = _singlet_tables(theta)
-    assert tables.flags.c_contiguous
-    assert tables.shape == np.shape(theta)[:-1] + (2, 2, 2, 2)
-    assert tables.tobytes() == einsum_reference_tables(theta).tobytes()
-    assert tables[..., 1, 1].tobytes() == tables[..., 0, 0].tobytes()
-    assert tables[..., 1, 0].tobytes() == tables[..., 0, 1].tobytes()
+def assert_same_bits_as_einsum(rows):
+    """P of angle rows ``(rows, 4)`` has the bytes of the einsum's cells
+    (0, 0) and (1, 1), and Q those of its cells (0, 1) and (1, 0)."""
+    pq = _singlet_pq(rows)
+    assert pq.shape == (2, 2, 2, len(rows))
+    p, q = np.moveaxis(pq, -1, 1)  # [row, x, y]
+    reference = einsum_reference_tables(rows)
+    for cell in reference[..., 0, 0], reference[..., 1, 1]:
+        assert p.tobytes() == cell.tobytes()
+    for cell in reference[..., 0, 1], reference[..., 1, 0]:
+        assert q.tobytes() == cell.tobytes()
+
+
+def assert_box_same_bits_as_einsum(row):
+    """The table singlet_box fills from one angle row is the einsum's."""
+    table = singlet_box(MeasurementAngles(*np.asarray(row).tolist())).p
+    assert table.flags.c_contiguous
+    assert table.tobytes() == einsum_reference_tables(row).tobytes()
 
 
 def reference_search(n_points, seed):
@@ -166,28 +175,28 @@ class TestSingletBox:
     @given(st.lists(st.tuples(angle, angle, angle, angle), min_size=1, max_size=40))
     @settings(max_examples=60, deadline=None)
     def test_stacked_tables_equal_singlet_box_row_by_row(self, rows):
-        tables = _singlet_tables(np.array(rows))
-        assert tables.shape == (len(rows), 2, 2, 2, 2)
-        for row, table in zip(rows, tables):
-            assert np.array_equal(table, singlet_box(MeasurementAngles(*row)).p)
+        p, q = _singlet_pq(np.array(rows))
+        for k, row in enumerate(rows):
+            table = singlet_box(MeasurementAngles(*row)).p
+            for a, b in np.ndindex(2, 2):
+                assert np.array_equal(table[:, :, a, b], (p, q)[a ^ b][..., k])
 
 
 class TestTablesEqualTheEinsum:
-    """The tables, filled as (P, Q, Q, P), are the complex contraction's bit
-    for bit, and C-contiguous, which the layout-dependent CHSH sum needs."""
+    """P and Q of every row, and the C-contiguous tables singlet_box fills
+    from them, are the complex contraction's bit for bit."""
 
     @given(st.lists(st.tuples(any_angle, any_angle, any_angle, any_angle), min_size=1, max_size=40))
     @settings(max_examples=80, deadline=None)
     def test_stacked_rows(self, rows):
         assert_same_bits_as_einsum(np.array(rows))
-        assert_same_bits_as_einsum(rows[0])
+        assert_box_same_bits_as_einsum(rows[0])
 
     def test_every_quadruple_of_extreme_angles(self):
         rows = np.array(list(itertools.product(EXTREME_ANGLES, repeat=4)))
         assert_same_bits_as_einsum(rows)
-        assert_same_bits_as_einsum(rows.reshape(10, 1000, 4))
-        for row in rows[::97]:
-            assert_same_bits_as_einsum(row)
+        for row in rows:
+            assert_box_same_bits_as_einsum(row)
 
     def test_random_rows_over_every_magnitude(self):
         rng = np.random.default_rng(17)
@@ -196,34 +205,26 @@ class TestTablesEqualTheEinsum:
             + [rng.choice([-1.0, 1.0], size=(512, 4)) * 10.0 ** rng.uniform(-300, 300, (512, 4))]
         )
         assert_same_bits_as_einsum(theta)
-        # strided and transposed rows give C-contiguous tables too
+        # strided and transposed rows give the same bits
         assert_same_bits_as_einsum(theta[::3])
         assert_same_bits_as_einsum(np.asfortranarray(theta))
         assert_same_bits_as_einsum(theta.T.copy().T)
 
     def test_empty_stack(self):
         theta = np.empty((0, 4))
-        assert _singlet_tables(theta).shape == (0, 2, 2, 2, 2)
         assert_same_bits_as_einsum(theta)
 
     def test_one_row_in_every_form(self):
         row = (0.3, -2.0, 1e3, 5e-324)
-        assert_same_bits_as_einsum(row)
-        assert_same_bits_as_einsum(np.array(row))
+        assert_box_same_bits_as_einsum(row)
+        assert_box_same_bits_as_einsum(np.array(row))
         assert_same_bits_as_einsum(np.array([row]))
-        assert _singlet_tables(row).tobytes() == _singlet_tables([row]).tobytes()
 
     def test_read_only_rows(self):
         theta = np.random.default_rng(3).uniform(-10.0, 10.0, size=(9, 4))
         theta.setflags(write=False)
         assert_same_bits_as_einsum(theta)
-        assert_same_bits_as_einsum(theta[4])
-
-    def test_two_batch_axes(self):
-        theta = np.random.default_rng(8).uniform(-10.0, 10.0, size=(3, 5, 4))
-        assert_same_bits_as_einsum(theta)
-        flat = _singlet_tables(theta.reshape(15, 4))
-        assert _singlet_tables(theta).tobytes() == flat.tobytes()
+        assert_box_same_bits_as_einsum(theta[4])
 
 
 def random_blocks():
@@ -238,18 +239,21 @@ def random_blocks():
 
 class TestSearchArithmetic:
     """The search reads E = 2(P - Q) in place of ``_chsh_s``'s einsum over
-    the tables; both must give the same bits."""
+    the reference tables; both must give the same bits."""
 
     def test_correlations_are_twice_p_minus_q(self):
         # fails on a numpy whose einsum adds the four outcome terms in sequence
         for rows in random_blocks():
             p, q = _singlet_pq(rows)
-            e, _ = _chsh_s(_singlet_tables(rows))
+            e, _ = _chsh_s(einsum_reference_tables(rows))
             assert e.tobytes() == (2.0 * (p - q)).tobytes()
 
     def test_search_values_equal_the_table_route(self):
         for rows in random_blocks():
-            expected = np.abs(_chsh_s(_singlet_tables(rows))[1])
+            # _chsh_s sums in a layout-dependent order, so pin the layout
+            tables = einsum_reference_tables(rows)
+            assert tables.flags.c_contiguous
+            expected = np.abs(_chsh_s(tables)[1])
             assert _abs_chsh(rows).tobytes() == expected.tobytes()
 
 
