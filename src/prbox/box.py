@@ -90,11 +90,14 @@ def _check_count(values: object, name: str, least: int = 1) -> np.ndarray:
     raw = np.asarray(values)
     if raw.dtype.kind in "bc":
         raise ValueError(f"{name} must be integers, got {values!r}")
-    with np.errstate(invalid="ignore"):
-        try:
+    try:
+        if raw.dtype.kind != "f":
             cast = raw.astype(np.int64)
-        except OverflowError:
-            raise ValueError(f"{name} must be int64 integers, got {values!r}") from None
+        else:  # only a float cast warns (NaN, inf, out of range); the checks below refuse it
+            with np.errstate(invalid="ignore"):
+                cast = raw.astype(np.int64)
+    except OverflowError:
+        raise ValueError(f"{name} must be int64 integers, got {values!r}") from None
     for bad, rule in (cast != raw, "integers"), (cast < least, f">= {least}"):
         if np.count_nonzero(bad):  # about a third of np.any's cost on a scalar's 0-d result
             raise ValueError(f"{name} must be {rule}, got {raw[bad].tolist()[0]!r}")

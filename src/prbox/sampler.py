@@ -5,19 +5,25 @@ generator (numpy's implementation of the published algorithm), keyed by
 (seed mod 2**64, setting-pair index 2x + y) for an int seed.  Each setting
 pair owns an independent stream, so per-pair sampling may run concurrently
 and still reproduce the sequential result bit for bit.  One trial consumes
-one double u in [0, 1), drawn in chunks of ``_CHUNK`` so memory stays
+one raw 64-bit word w, read in chunks of ``_CHUNK`` so memory stays
 bounded; Philox output does not depend on how it is split into calls.
+numpy's ``Generator.random`` maps that word to the double
+u = (w >> 11) / 2**53 in [0, 1), and the sampler compares in integers
+instead: scaling by 2**53 is exact, so u >= c holds exactly when
+w >> 11 >= k with k = ceil(c * 2**53) clipped to [0, 2**53].
 Boxes and models share one draw: an inverse CDF over ordered segments of
 [0, 1), whose index is the number of interior boundaries c with u >= c.  A
 box's segments are its four (a, b) cells in lexicographic order
 (boundaries at the cumulative sums of P(a, b | x, y), negative entries
 clipped to 0); a hidden-variable model's are lambda = 0 and 1 (one
 boundary at p0), whose tabulated responses then give (a, b).  The
-boundaries never decrease, so counts tally #(u >= c) per boundary and take
-segment counts as differences, labelling no trial; records index the 48
-shared frozen records by segment, and ``records_to_csv`` looks up their
-lines by identity.  Counts and records are two views of the same draw, so
-identical (input, trials, seed) yield identical tables and records.
+boundaries never decrease, so counts tally #(w >> 11 >= k) in one pass
+per distinct threshold, and in none for k = 0 (every word passes) or
+2**53 (no word does), then take segment counts as differences, labelling
+no trial; records index the 48 shared frozen records by segment, and
+``records_to_csv`` looks up their lines by identity.  Counts and records
+are two views of the same draw, so identical (input, trials, seed) yield
+identical tables and records.
 """
 
 from __future__ import annotations
@@ -46,6 +52,7 @@ __all__ = [
 ]
 
 SETTING_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
+_CELLS = tuple(np.ndindex(2, 2, 2, 2))  # (x, y, a, b) in the row-major order of a table
 
 
 class InsufficientTrialsError(ValueError):
@@ -91,11 +98,12 @@ class EmpiricalTable:
         object.__setattr__(self, "trials_per_setting", trials)
 
     def frequencies(self) -> np.ndarray:
-        for x, y in SETTING_PAIRS:
-            if self.trials_per_setting[x, y] < 1:
-                raise InsufficientTrialsError(
-                    f"no trials recorded for setting pair (x={x}, y={y})"
-                )
+        empty = self.trials_per_setting < 1
+        if np.count_nonzero(empty):
+            x, y = SETTING_PAIRS[int(np.argmax(empty))]  # the first in SETTING_PAIRS order
+            raise InsufficientTrialsError(
+                f"no trials recorded for setting pair (x={x}, y={y})"
+            )
         return self.counts / self.trials_per_setting[:, :, None, None]
 
     def as_box(self, label: str | None = None) -> BoxTable:
@@ -105,12 +113,13 @@ class EmpiricalTable:
 
     def to_csv(self) -> str:
         lines = ["x,y,a,b,count"]
-        for x, y, a, b in np.ndindex(2, 2, 2, 2):
-            lines.append(f"{x},{y},{a},{b},{self.counts[x, y, a, b]}")
+        for (x, y, a, b), n in zip(_CELLS, self.counts.ravel().tolist()):
+            lines.append(f"{x},{y},{a},{b},{n}")
         return "\n".join(lines) + "\n"
 
 
 _CHUNK = 1 << 14
+_ONE = 2**53  # the threshold of c = 1: u = (w >> 11) / 2**53 < 1 for every word
 
 # Every record a run can yield, [pair 2x + y, lambda None/0/1, cell 2a + b].
 _RECORDS = np.array(
@@ -128,8 +137,10 @@ _LINES = {id(r): _line(r) for r in _RECORDS.flat}
 
 
 def _draw(obj: BoxTable | HVModel, trials: int, seed: int) -> Iterator[tuple]:
-    """Per setting pair in ``SETTING_PAIRS`` order: (interior boundaries,
-    shared records of the segments, chunks of u)."""
+    """Per setting pair in ``SETTING_PAIRS`` order: (uint64 thresholds k of
+    the interior boundaries, shared records of the segments, chunks of raw
+    words).  The pairs re-key one generator, so a caller reads each pair's
+    chunks before it asks for the next pair."""
     key = _check_seed(seed) % 2**64
     if isinstance(obj, HVModel):
         bounds = np.full((4, 1), obj.dist.p0)
@@ -139,30 +150,40 @@ def _draw(obj: BoxTable | HVModel, trials: int, seed: int) -> Iterator[tuple]:
         # The fourth boundary is 1, above every u in [0, 1), so it is left out.
         bounds = np.cumsum(np.clip(obj.p.reshape(4, 4), 0.0, None), axis=1)[:, :3]
         shared = _RECORDS[:, 0]
+    ks = np.ceil(np.clip(bounds, 0.0, 1.0) * _ONE).astype(np.uint64)
+    philox = np.random.Philox(key=key)  # fresh OS entropy once per call, not per pair
+    state = philox.state
     for pair in range(4):
-        philox = np.random.Philox(key=np.array([key, pair], dtype=np.uint64))
+        state["state"]["key"][1] = pair  # Philox(key=[key, pair]): counter 0, buffer empty
+        philox.state = state
         sizes = (min(_CHUNK, trials - i) for i in range(0, trials, _CHUNK))
-        yield bounds[pair], shared[pair], map(np.random.Generator(philox).random, sizes)
+        yield ks[pair], shared[pair], map(philox.random_raw, sizes)
 
 
 def _counts(obj: BoxTable | HVModel, trials: int, seed: int) -> EmpiricalTable:
     trials = int(_check_count(trials, "trials_per_setting"))
-    counts = np.zeros((2, 2, 2, 2), dtype=np.int64)
-    for bounds, shared, chunks in _draw(obj, trials, seed):
-        tails = np.zeros(len(bounds), dtype=np.int64)  # #(u >= c) per boundary c
-        for u in chunks:
-            tails += [np.count_nonzero(u >= c) for c in bounds.tolist()]
-        for r, n in zip(shared, -np.diff(tails, prepend=trials, append=0)):
-            counts[r.x, r.y, r.a, r.b] += n
-    return EmpiricalTable(counts, np.full((2, 2), trials), seed)
+    counts = [0] * 16
+    for ks, shared, chunks in _draw(obj, trials, seed):
+        ks = ks.tolist()
+        # #(w >> 11 >= k) in one pass per distinct k; every word passes 0, none 2**53
+        inner = {k: 0 for k in ks if 0 < k < _ONE}
+        for w in chunks:
+            for k in inner:
+                inner[k] += np.count_nonzero(w >= k << 11)
+        tails = {0: trials, _ONE: 0, **inner}
+        ends = [trials, *map(tails.get, ks), 0]
+        for r, passed, beyond in zip(shared, ends, ends[1:]):
+            counts[8 * r.x + 4 * r.y + 2 * r.a + r.b] += passed - beyond
+    table = np.array(counts, dtype=np.int64).reshape(2, 2, 2, 2)
+    return EmpiricalTable(table, np.full((2, 2), trials), seed)
 
 
 def _records(obj: BoxTable | HVModel, trials: int, seed: int) -> list[SampleRecord]:
     trials = int(_check_count(trials, "trials_per_setting"))
     records: list[SampleRecord] = []
-    for bounds, shared, chunks in _draw(obj, trials, seed):
-        for u in chunks:  # side="right" counts the boundaries c <= u
-            records += shared[np.searchsorted(bounds, u, side="right")].tolist()
+    for ks, shared, chunks in _draw(obj, trials, seed):
+        for w in chunks:  # side="right" counts the thresholds k <= w >> 11
+            records += shared[np.searchsorted(ks, w >> 11, side="right")].tolist()
     return records
 
 
@@ -213,7 +234,5 @@ def compare(e: EmpiricalTable, t: BoxTable) -> ComparisonResult:
     """L-infinity distance between empirical frequencies and exact
     probabilities, with signed per-cell deltas (frequency minus exact)."""
     deltas = e.frequencies() - t.p
-    per_cell = {
-        (x, y, a, b): float(deltas[x, y, a, b]) for x, y, a, b in np.ndindex(2, 2, 2, 2)
-    }
+    per_cell = dict(zip(_CELLS, deltas.ravel().tolist()))
     return ComparisonResult(float(np.max(np.abs(deltas))), per_cell)

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -290,15 +291,23 @@ class TestCsvEmission:
             assert line.split(",")[2] in ("0", "1")
 
 
-def reference_draw(obj, trials, seed):
-    """Per-pair draw written out independently: ``searchsorted`` on the
-    clipped cumulative table for a box, ``u >= p0`` and the response
-    functions for a model.  Returns (counts, records)."""
+def reference_uniforms(trials, seed):
+    """Per setting pair, ``Generator.random`` on the pair's Philox stream."""
+    return [
+        np.random.Generator(
+            np.random.Philox(key=np.array([int(seed) % 2**64, pair], dtype=np.uint64))
+        ).random(trials)
+        for pair in range(4)
+    ]
+
+
+def reference_outcomes(obj, uniforms):
+    """The draw written out independently on per-pair doubles u:
+    ``searchsorted`` on the clipped cumulative table for a box, ``u >= p0``
+    and the response functions for a model.  Returns (counts, records)."""
     counts = np.zeros((2, 2, 2, 2), dtype=np.int64)
     records = []
-    for x, y in SETTING_PAIRS:
-        key = np.array([int(seed) % 2**64, 2 * x + y], dtype=np.uint64)
-        u = np.random.Generator(np.random.Philox(key=key)).random(trials)
+    for (x, y), u in zip(SETTING_PAIRS, uniforms):
         if isinstance(obj, HVModel):
             lambdas = (u >= obj.dist.p0).astype(np.int64)
             rows = [
@@ -314,6 +323,10 @@ def reference_draw(obj, trials, seed):
             counts[x, y, a, b] += 1
             records.append(SampleRecord(x, y, a, b, lam))
     return counts, records
+
+
+def reference_draw(obj, trials, seed):
+    return reference_outcomes(obj, reference_uniforms(trials, seed))
 
 
 def _parity_boxes():
@@ -333,7 +346,7 @@ def _parity_boxes():
 def _parity_models():
     eps = 1e-9
     models = []
-    for p0 in (0.0, 1.0, -eps / 2, 1 + eps / 2, 0.5, 0.3183098861837907):
+    for p0 in (0.0, 1.0, -eps / 2, 1 + eps / 2, 1 + 1e-10, 0.5, 0.3183098861837907):
         dist = LambdaDist.from_p0(p0)
         models.append(pr_hv_model(dist))
         models.append(
@@ -348,6 +361,48 @@ def _parity_models():
 
 
 PARITY_INPUTS = _parity_boxes() + _parity_models()
+
+EDGE_K = 3 * 2**50 + 12345
+EDGE_C = EDGE_K * 2.0**-53
+EDGES = [
+    0.0, -1e-10, 5e-324, np.nextafter(EDGE_C, 0.0), EDGE_C, np.nextafter(EDGE_C, 1.0),
+    1 - 2.0**-53, 1.0, np.nextafter(1.0, 2.0),
+]
+
+
+def _crafted_words():
+    """Raw words whose top 53 bits sit at, just below and just above each
+    edge boundary, each with its low 11 bits all 0 and all 1."""
+    tops = {0, 2**53 - 1}
+    for c in EDGES:
+        top = math.floor(min(max(c, 0.0), 1.0) * 2**53)
+        tops.update(range(top - 1, top + 2))
+    tops = sorted(t for t in tops if 0 <= t < 2**53)
+    return np.array([w for t in tops for w in (t << 11, t << 11 | 2047)], dtype=np.uint64)
+
+
+CRAFTED_WORDS = _crafted_words()
+PHILOX = np.random.Philox
+
+
+class CraftedPhilox:
+    """Stands in for ``np.random.Philox``: every stream, however keyed,
+    yields ``CRAFTED_WORDS``, and setting the state starts it over."""
+
+    def __init__(self, key):
+        self._state, self._next = PHILOX(key=key).state, 0
+
+    @property
+    def state(self):
+        return self._state
+
+    @state.setter
+    def state(self, value):
+        self._state, self._next = value, 0
+
+    def random_raw(self, size):
+        self._next += size
+        return CRAFTED_WORDS[self._next - size : self._next].copy()
 
 
 class TestReferenceParity:
@@ -365,6 +420,66 @@ class TestReferenceParity:
             assert np.array_equal(table.counts, counts), obj.label
             assert got == records, obj.label
             assert records_to_csv(got) == records_to_csv(records), obj.label
+
+    @pytest.mark.parametrize("seed", [0, 7, -5])
+    def test_boundaries_tie_with_drawn_values(self, seed):
+        # Boundaries at doubles the streams draw, exact multiples of 2**-53, so
+        # some trials land on a boundary; pair (0, 1) repeats one boundary.
+        uniforms = reference_uniforms(50, seed)
+        rows = []
+        for pair, u in enumerate(uniforms):
+            bounds = np.sort(u[[3, 17, 17 if pair == 1 else 29]])
+            rows.append(np.diff(bounds, prepend=0.0, append=1.0))
+            assert np.array_equal(np.cumsum(rows[-1])[:3], bounds)  # the cumsum is exact
+        box = BoxTable(np.reshape(rows, (2, 2, 2, 2)), "ties")
+        model = pr_hv_model(LambdaDist.from_p0(uniforms[2][9]))
+        for obj, sample, sample_records in (
+            (box, sample_box, sample_box_records),
+            (model, sample_hv, sample_hv_records),
+        ):
+            counts, records = reference_outcomes(obj, uniforms)
+            assert np.array_equal(sample(obj, 50, seed).counts, counts), obj.label
+            assert sample_records(obj, 50, seed) == records, obj.label
+
+
+class TestRawWords:
+    """The sampler reads raw Philox words w and compares w >> 11 with integer
+    thresholds; that is exact only because ``Generator.random`` returns
+    u = (w >> 11) * 2**-53."""
+
+    @pytest.mark.parametrize("key", [(0, 0), (7, 3), (2**64 - 1, 1), (SEED, 2)])
+    def test_random_is_the_top_53_bits_of_a_word(self, key):
+        key = np.array(key, dtype=np.uint64)
+        words = np.random.Philox(key=key).random_raw(5000)
+        u = np.random.Generator(np.random.Philox(key=key)).random(5000)
+        assert ((words >> 11) * 2.0**-53).tobytes() == u.tobytes()
+
+    @pytest.mark.parametrize("p0", EDGES, ids=repr)
+    def test_model_boundary_on_crafted_words(self, monkeypatch, p0):
+        self.check_crafted(monkeypatch, pr_hv_model(LambdaDist.from_p0(p0)))
+
+    def test_box_boundaries_on_crafted_words(self, monkeypatch):
+        c, ulp = EDGE_C, 2.0**-53
+        rows = [
+            [0.0, 5e-324, 0.0, 1.0],  # boundaries 0, 5e-324, 5e-324
+            [np.nextafter(c, 0.0), 0.0, 0.0, 0.5],  # three equal boundaries
+            [c, ulp, 1 - ulp - c - ulp, ulp],  # c, c + 2**-53 and 1 - 2**-53, all exact
+            [-1e-10, 1.0, 2.0**-52, 0.0],  # clipped to 0, then 1 and nextafter(1, 2)
+        ]
+        box = BoxTable(np.reshape(rows, (2, 2, 2, 2)), "edges")
+        self.check_crafted(monkeypatch, box)
+
+    @staticmethod
+    def check_crafted(monkeypatch, obj):
+        trials = len(CRAFTED_WORDS)
+        counts, records = reference_outcomes(obj, [(CRAFTED_WORDS >> 11) * 2.0**-53] * 4)
+        model = isinstance(obj, HVModel)
+        with monkeypatch.context() as patch:
+            patch.setattr(np.random, "Philox", CraftedPhilox)
+            table = (sample_hv if model else sample_box)(obj, trials, SEED)
+            got = (sample_hv_records if model else sample_box_records)(obj, trials, SEED)
+        assert np.array_equal(table.counts, counts)
+        assert got == records
 
 
 class TestNonFiniteTables:
