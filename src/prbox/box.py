@@ -253,6 +253,11 @@ _PR_SUPPORT = np.fromfunction(
 )
 _PR_SUPPORT.setflags(write=False)
 
+# BoxTable is frozen, its array read-only and it compares by identity (eq=False),
+# so the constant boxes are built once, through every check, and shared.
+_PR_BOX = BoxTable(np.where(_PR_SUPPORT, 0.5, 0.0), "pr")
+_UNIFORM_BOX = BoxTable(np.full((2, 2, 2, 2), 0.25), "uniform")
+
 
 def pr_box() -> BoxTable:
     """The canonical nonlocal box: a xor b = x*y, weight 1/2 per allowed pair.
@@ -261,7 +266,7 @@ def pr_box() -> BoxTable:
     two satisfying outcome pairs is the unique no-signaling completion and is
     what the equal-weight hidden-variable average reproduces.
     """
-    return BoxTable(np.where(_PR_SUPPORT, 0.5, 0.0), "pr")
+    return _PR_BOX
 
 
 _CELL_TABLES = np.eye(4).reshape(4, 2, 2)  # row 2a + b is one-hot at (a, b)
@@ -274,6 +279,7 @@ _DETERMINISTIC_TABLES.setflags(write=False)
 _DETERMINISTIC_LABELS = tuple(
     f"local:{f0},{f1},{g0},{g1}" for f0, f1, g0, g1 in np.ndindex(2, 2, 2, 2)
 )
+_DETERMINISTIC_BOXES = tuple(map(BoxTable, _DETERMINISTIC_TABLES, _DETERMINISTIC_LABELS))
 
 
 def deterministic_local_box(f: Sequence[int], g: Sequence[int]) -> BoxTable:
@@ -282,20 +288,17 @@ def deterministic_local_box(f: Sequence[int], g: Sequence[int]) -> BoxTable:
         raise ValueError("f and g must each map both settings, i.e. have length 2")
     f0, f1 = (_check_bit(v, "f") for v in f)
     g0, g1 = (_check_bit(v, "g") for v in g)
-    k = 8 * f0 + 4 * f1 + 2 * g0 + g1
-    return BoxTable(_DETERMINISTIC_TABLES[k], _DETERMINISTIC_LABELS[k])
+    return _DETERMINISTIC_BOXES[8 * f0 + 4 * f1 + 2 * g0 + g1]
 
 
 def all_deterministic_boxes() -> list[BoxTable]:
     """All 16 deterministic local strategies, ordered by (f0, f1, g0, g1)."""
-    return [
-        BoxTable(p, label) for p, label in zip(_DETERMINISTIC_TABLES, _DETERMINISTIC_LABELS)
-    ]
+    return list(_DETERMINISTIC_BOXES)
 
 
 def uniform_box() -> BoxTable:
     """The maximally mixed table, p = 1/4 everywhere."""
-    return BoxTable(np.full((2, 2, 2, 2), 0.25), "uniform")
+    return _UNIFORM_BOX
 
 
 def convex_mix(

@@ -35,16 +35,19 @@ in that order, where each compared cell lands (a side-1 "B" cell maps back by
 (x, y, a, b) -> (y, x, b, a), -1 slot included; cells sort by (x, y, a, b,
 side)) and its Witness template.  A report makes one comparison of its 72
 cells and splits the hits at the check boundaries; a single check reads its
-report, and a batch of tables may compare a prefix of the plan.
+report, and a batch of tables may compare a prefix of the plan.  A violated
+verdict keeps its hits as plan cells with their lhs and rhs values and builds
+its ``witnesses`` the first time they are read; ``Verdict.as_dict`` writes
+rows from the plan's (x, y, a, b) prefixes without building any.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .box import DEFAULT_EPS, BoxTable, _check_eps, _swap
+from .box import DEFAULT_EPS, BoxTable, _check_eps
 
 __all__ = [
     "LocalityReport",
@@ -75,38 +78,89 @@ class Witness:
 
 @dataclass(frozen=True)
 class Verdict:
+    """A violated verdict from the analyses keeps its hits and builds
+    ``witnesses`` the first time it is read; every later read returns that
+    tuple.  Equality, hashing, repr, pickling and copies read it too."""
+
     holds: bool
-    witnesses: tuple[Witness, ...] = ()
+    witnesses: tuple[Witness, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
         if self.holds != (len(self.witnesses) == 0):
             raise ValueError("a verdict is violated exactly when it has witnesses")
+
+    def __getstate__(self) -> dict:
+        return {"holds": self.holds, "witnesses": self.witnesses}
 
     @property
     def status(self) -> str:
         return "holds" if self.holds else "violated"
 
     def as_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "witnesses": [w.as_row() for w in self.witnesses],
-        }
+        hits = self.__dict__.get("_hits")
+        if hits is None:
+            rows = [w.as_row() for w in self.witnesses]
+        else:
+            rows = [[*_PREFIXES[cell], lhs, rhs] for cell, lhs, rhs in zip(*hits)]
+        return {"status": self.status, "witnesses": rows}
 
 
+class _LazyWitnesses:
+    """``Verdict.witnesses`` of a verdict that holds none yet: built once from
+    its plan hits and kept in its field dict, which later reads find first."""
+
+    def __get__(self, verdict: Verdict | None, owner: type | None = None):
+        if verdict is None:
+            return self
+        hits = verdict.__dict__.get("_hits")
+        if hits is None:
+            raise AttributeError("'Verdict' object has no attribute 'witnesses'")
+        witnesses = []
+        for cell, lhs, rhs in zip(*hits):
+            w = object.__new__(Witness)  # frozen: fill its field dict, in field order
+            (attrs := w.__dict__).update(_TEMPLATES[cell])
+            attrs["lhs"], attrs["rhs"] = lhs, rhs
+            witnesses.append(w)
+        # setdefault: first reads that race still all return one tuple
+        return verdict.__dict__.setdefault("witnesses", tuple(witnesses))
+
+
+Verdict.witnesses = _LazyWitnesses()  # no __set__, so a verdict's own tuple wins
 _HOLDS = Verdict(True)  # frozen, so every holding verdict can be this one
+
+
+def _violated(cells: list[int], lhs: list[float], rhs: list[float]) -> Verdict:
+    """A violated verdict on these plan hits; its witnesses wait for a first read."""
+    v = object.__new__(Verdict)
+    v.__dict__.update(holds=False, _hits=(cells, lhs, rhs))
+    return v
+
+
+def _gathers() -> tuple:
+    """Flat indices for :func:`_quantities`, per (side, x, y, a, b) cell of the
+    stack of a table and its party swap: the table entry it holds and the
+    marginal P(B=b | x, y) it is conditioned on, the other side's marginal;
+    per (x, y, a, b), the product's factors P(A=a | x, 0) and P(B=b | 0, y)."""
+    def flat(i, j, k, m):  # position (i, j, k, m) of a flat (2, 2, 2, 2) table
+        return 8 * i + 4 * j + 2 * k + m
+
+    s, x, y, a, b = np.indices((2, 2, 2, 2, 2)).reshape(5, -1)
+    return (np.where(s == 1, flat(y, x, b, a), flat(x, y, a, b)), flat(1 - s, y, x, b),
+            flat(0, x, 0, a)[:16], flat(1, y, 0, b)[:16])
+
+
+_STACK, _MB, _PRODUCT_A, _PRODUCT_B = _gathers()
 
 
 def _quantities(p: np.ndarray, eps: float) -> np.ndarray:
     """For n tables (..., 2, 2, 2, 2), flat (n, 80): marginals P(A=a | x, y) of
     tables and party swaps, the tables, products P(A=a | x, 0) P(B=b | 0, y),
     and conditionals P(A=a | x, y; B=b), NaN if P(B=b | x, y) <= eps."""
-    p = np.stack((p, _swap(p)), -5)  # (..., side, x, y, a, b)
-    ma = p.sum(-1, keepdims=True)
-    mb = _swap(ma[..., ::-1, :, :, :, :])  # P(B=b | x, y) is the other side's marginal
-    product = ma[..., 0, :, :1, :, :] * mb[..., 0, :1, :, :, :]
-    c = p / np.where(mb > eps, mb, np.nan)
-    return np.concatenate((ma.reshape(-1, 16), p[..., 0, :, :, :, :].reshape(-1, 16),
-                           product.reshape(-1, 16), c.reshape(-1, 32)), -1)
+    stack = p.reshape(-1, 16)[:, _STACK]
+    ma = stack.reshape(-1, 16, 2).sum(-1)  # not a + b: numpy sums -0.0 and -0.0 to 0.0
+    mb = ma[:, _MB]
+    c = stack / np.where(mb > eps, mb, np.nan)
+    return np.concatenate((ma, stack[:, :16], ma[:, _PRODUCT_A] * ma[:, _PRODUCT_B], c), -1)
 
 
 def _plan() -> tuple:
@@ -132,6 +186,8 @@ def _plan() -> tuple:
 
 
 _LHS_AT, _RHS_AT, _TEMPLATES, _ENDS = _plan()
+# Per plan cell, the (x, y, a, b) that start its witness row.
+_PREFIXES = tuple((t["x"], t["y"], t["a"], t["b"]) for t in _TEMPLATES)
 
 
 def _verdicts(p: np.ndarray, eps: float, checks: int = 4) -> list[Verdict]:
@@ -143,15 +199,10 @@ def _verdicts(p: np.ndarray, eps: float, checks: int = 4) -> list[Verdict]:
     hits = np.flatnonzero(np.abs(lhs - rhs) > eps)
     if not hits.size:
         return [_HOLDS] * (lhs.size // m * checks)
-    witnesses = []
-    for cell, left, right in zip((hits % m).tolist(), lhs[hits].tolist(), rhs[hits].tolist()):
-        w = object.__new__(Witness)  # frozen: fill its field dict, in field order
-        (attrs := w.__dict__).update(_TEMPLATES[cell])
-        attrs["lhs"], attrs["rhs"] = left, right
-        witnesses.append(w)
+    cells, left, right = (hits % m).tolist(), lhs[hits].tolist(), rhs[hits].tolist()
     stops = hits.searchsorted((np.arange(0, lhs.size, m)[:, None] + ends).ravel()).tolist()
     spans = zip([0, *stops], stops)
-    return [Verdict(False, tuple(witnesses[i:j])) if j > i else _HOLDS for i, j in spans]
+    return [_violated(cells[i:j], left[i:j], right[i:j]) if j > i else _HOLDS for i, j in spans]
 
 
 def no_signaling(t: BoxTable, eps: float = DEFAULT_EPS) -> Verdict:
@@ -213,7 +264,10 @@ class LocalityReport:
     conditioned_parameter_dependence: Verdict
 
     def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name).as_dict() for f in fields(self)}
+        return {name: getattr(self, name).as_dict() for name in _REPORT_FIELDS}
+
+
+_REPORT_FIELDS = tuple(f.name for f in fields(LocalityReport))
 
 
 def locality_report(t: BoxTable, eps: float = DEFAULT_EPS) -> LocalityReport:

@@ -1,5 +1,6 @@
 import json
 import math
+import operator
 import re
 
 import numpy as np
@@ -200,6 +201,74 @@ class TestDeterministicLocalBox:
             assert box.label == f"local:{f0},{f1},{g0},{g1}"
             single = deterministic_local_box((f0, f1), (g0, g1))
             assert np.array_equal(single.p, p) and single.label == box.label
+
+
+def constant_boxes():
+    return [pr_box(), uniform_box(), *all_deterministic_boxes()]
+
+
+class TestSharedConstantBoxes:
+    """The constant boxes are built once and shared; nothing a caller does to
+    what it is handed changes what the next caller gets."""
+
+    def test_each_call_returns_a_new_list(self):
+        first, second = all_deterministic_boxes(), all_deterministic_boxes()
+        assert first is not second
+        labels = [box.label for box in first]
+        first.reverse()
+        first[0] = pr_box()
+        del first[1:]
+        third = all_deterministic_boxes()
+        assert [box.label for box in third] == labels
+        assert labels == [f"local:{f0},{f1},{g0},{g1}" for f0, f1, g0, g1 in np.ndindex(2, 2, 2, 2)]
+        assert all(map(operator.is_, third, second))
+
+    def test_single_strategy_is_the_listed_box(self):
+        boxes = all_deterministic_boxes()
+        for k, (f0, f1, g0, g1) in enumerate(np.ndindex(2, 2, 2, 2)):
+            assert deterministic_local_box((f0, f1), (g0, g1)) is boxes[k]
+
+    def test_arrays_are_read_only(self):
+        for box in constant_boxes():
+            assert not box.p.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                box.p[0, 0, 0, 0] = 0.5
+            with pytest.raises(AttributeError):
+                box.label = "changed"
+
+    def test_labels_and_values(self):
+        support = np.fromfunction(lambda x, y, a, b: (a + b) % 2 == x * y, (2, 2, 2, 2))
+        pr, uniform, *local = constant_boxes()
+        assert pr.label == "pr" and np.array_equal(pr.p, np.where(support, 0.5, 0.0))
+        assert uniform.label == "uniform" and np.array_equal(uniform.p, np.full((2, 2, 2, 2), 0.25))
+        for box in constant_boxes():
+            assert box.p.dtype == np.float64 and box.p.shape == (2, 2, 2, 2)
+            assert validate(box).ok
+            assert from_json(to_json(box)).p.tobytes() == box.p.tobytes()
+
+    def test_derived_tables_leave_the_shared_ones_alone(self):
+        relabeled = pr_box().relabel("mine")
+        assert relabeled is not pr_box() and relabeled.p is not pr_box().p
+        assert pr_box().label == "pr"
+        mixed = convex_mix([pr_box(), uniform_box()], [0.5, 0.5])
+        assert not np.shares_memory(mixed.p, pr_box().p)
+        assert np.array_equal(pr_box().p, np.where(pr_box().p > 0, 0.5, 0.0))
+
+    @pytest.mark.parametrize(
+        ("p", "label", "message"),
+        [
+            (np.where(np.eye(16, dtype=bool)[3].reshape(2, 2, 2, 2), np.nan, 0.25), "x",
+             "non-finite entry"),
+            (np.full((2, 2, 4), 0.25), "x", "shape"),
+            (np.full((2, 2, 2, 2), 0.25), 7, "label must be a string"),
+        ],
+        ids=["nan", "shape", "label"],
+    )
+    def test_user_tables_still_checked(self, p, label, message):
+        with pytest.raises(BoxFormatError, match=message):
+            BoxTable(p, label)
+        with pytest.raises(BoxFormatError, match=message):
+            BoxTable.from_dict({"label": label, "p": p.tolist()})
 
 
 class TestConvexMix:

@@ -1,5 +1,11 @@
+import copy
 import dataclasses
+import hashlib
+import json
+import math
 import pickle
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -9,9 +15,11 @@ from hypothesis import strategies as st
 from helpers import random_box, random_local_mixture, random_product_box
 from prbox import locality as locality_module
 from prbox import (
+    OPTIMAL_CHSH_ANGLES,
     BoxTable,
     LambdaDist,
     LocalityReport,
+    MeasurementAngles,
     Verdict,
     Witness,
     all_deterministic_boxes,
@@ -19,6 +27,8 @@ from prbox import (
     conditional,
     conditional_b,
     conditioned_dependence,
+    convex_mix,
+    deterministic_local_box,
     hv_to_box,
     lambda_sweep,
     locality_report,
@@ -29,6 +39,7 @@ from prbox import (
     parameter_independence,
     pr_box,
     pr_hv_model,
+    singlet_box,
     uniform_box,
 )
 
@@ -333,6 +344,9 @@ class TestVerdictAndReport:
             Verdict(True, (Witness(0, 0, 0, 0, 1.0, 0.5),))
         with pytest.raises(ValueError):
             Verdict(False, ())
+        with pytest.raises(ValueError):
+            Verdict(False)
+        assert Verdict(True).witnesses == ()
 
     def test_report_json_shape(self):
         report = locality_report(pr_box()).as_dict()
@@ -516,3 +530,177 @@ class TestPlanBuiltWitnesses:
         assert [repr(v) for v in prefix] == [
             repr(locality_report(t, eps).no_signaling) for t in tables
         ]
+
+
+def _negative_zeros(box):
+    return BoxTable(np.where(box.p == 0.0, -0.0, box.p), box.label + ":-0")
+
+
+def _half_impossible():
+    """The PR box with (x, y) = (1, 1) deterministic: some conditionals are undefined."""
+    p = pr_box().p.copy()
+    p[1, 1] = deterministic_local_box((0, 1), (1, 1)).p[1, 1]
+    return BoxTable(p, "half-impossible")
+
+
+GOLDEN_TABLES = {
+    "pr": pr_box,
+    "local": lambda: deterministic_local_box((0, 1), (1, 0)),
+    "hv": lambda: hv_box(0.3),
+    "singlet": lambda: singlet_box(MeasurementAngles(0.1, 1.3, 2.9, 4.4)),
+    "singlet_opt": lambda: singlet_box(OPTIMAL_CHSH_ANGLES),
+    "pr_uniform": lambda: convex_mix(
+        [pr_box(), uniform_box()], [math.sqrt(0.5), 1 - math.sqrt(0.5)]
+    ),
+    "local_mix": lambda: convex_mix(all_deterministic_boxes(), np.linspace(1, 16, 16) / 136),
+    # -0.0 off the support prints in conditional rows; the zero marginal of
+    # two -0.0 entries prints as 0.0.
+    "pr_negative_zeros": lambda: _negative_zeros(pr_box()),
+    "local_negative_zeros": lambda: _negative_zeros(deterministic_local_box((1, 0), (0, 1))),
+    "hv_negative_zeros": lambda: _negative_zeros(hv_box(1.0)),
+    "undefined_conditionals": _half_impossible,
+}
+
+GOLDEN_REPORTS = [
+    ("pr", 1e-9, "cd1d86b592f860c8996a9c2d1f1e77490e0e74ec84fcf4a1fc26a243e56b1e30"),
+    ("local", 1e-9, "735eee23b415b2414c67a5b984faa8c080aa8e7cce15a22bd7635b84f28b761f"),
+    ("hv", 1e-9, "399152f78d93e3cc430aa11cd699cb38d0fc2237287af6122accb30b48cd16ae"),
+    ("singlet", 1e-9, "4186be01c8eeef84c0c2dd2d21325f41f5a3b5a608d47cc2417f3edfddb2a6e1"),
+    ("singlet", 0.2, "ed2355efcaad81687996018146512de5962104b8f6bf9bdbe0f3d650bcabda60"),
+    ("singlet_opt", 1e-9, "b1a1d8d487def73cef845d3904eb0a40756f7320b49a75ef875e30ea413406ab"),
+    ("singlet_opt", 0.2, "7a5fc5697af79efd1f2384cfb085d30dde2af8414a55dc6b3ea6998293759684"),
+    ("pr_uniform", 1e-9, "948059d93a2652dd7ae56c235f93c0d1f4c3f15efc01179aa713aa78fa1c5a38"),
+    ("pr_uniform", 0.2, "be5e63bf752e8c26861f8662c2262bd0a0c3a0348e2218cfdc8d63f915ad61c3"),
+    ("local_mix", 1e-9, "3b5f9d0f972bb50da81257e816c658a5e5582acc50c13c96ca95d4598751d48b"),
+    ("local_mix", 0.2, "735eee23b415b2414c67a5b984faa8c080aa8e7cce15a22bd7635b84f28b761f"),
+    ("pr_negative_zeros", 1e-9, "9b80f29344d5fd408735b3dedb4e15dec4828521b8a1cfc6be9e97a229bc5cb7"),
+    ("local_negative_zeros", 1e-9,
+     "735eee23b415b2414c67a5b984faa8c080aa8e7cce15a22bd7635b84f28b761f"),
+    ("hv_negative_zeros", 1e-9, "145bc22ee612060f66f634d6d9cdea45d0aff24ecc312ef65741361029cb2eac"),
+    ("undefined_conditionals", 1e-9,
+     "1c2491a0d5c398d7e73c773afbd29143be841c6277b621e66e8ebf998a0cabb9"),
+]
+
+
+def sha256_of(document):
+    return hashlib.sha256(json.dumps(document, indent=2).encode()).hexdigest()
+
+
+class TestGoldenReportDigests:
+    """Every byte of the indented report JSON, -0.0 and witness order included,
+    pinned over a fixed corpus, independent of the benchmark."""
+
+    @pytest.mark.parametrize(("name", "eps", "digest"), GOLDEN_REPORTS,
+                             ids=[f"{name}-{eps:g}" for name, eps, _ in GOLDEN_REPORTS])
+    def test_report(self, name, eps, digest):
+        assert sha256_of(locality_report(GOLDEN_TABLES[name](), eps).as_dict()) == digest
+
+    def test_negative_zeros_reach_the_rows(self):
+        report = locality_report(GOLDEN_TABLES["pr_negative_zeros"]()).as_dict()
+        assert "-0.0" in json.dumps(report["outcome_independence"]["witnesses"])
+        report = locality_report(GOLDEN_TABLES["hv_negative_zeros"]()).as_dict()
+        assert report["no_signaling"]["witnesses"][0] == [0, 0, -1, 0, 1.0, 0.0]
+        assert "-0.0" not in json.dumps(report)
+
+    def test_lambda_sweep(self):
+        points = lambda_sweep([LambdaDist.from_p0(k / 10) for k in range(11)])
+        document = [{**point.as_dict(), "witnesses": point.no_signaling.as_dict()["witnesses"]}
+                    for point in points]
+        assert sha256_of(document) == (
+            "5d22fb3a099a8bc486eabbe3a0dc86a8c5a84c1f6617040c658d0f73c686ab3d"
+        )
+
+
+# Violated verdicts from every producer, each call a fresh one whose witnesses
+# have not been read.
+VIOLATED = {
+    "report-oi": lambda: locality_report(pr_box()).outcome_independence,
+    "report-bf": lambda: locality_report(pr_box()).bell_factorizable,
+    "report-cd": lambda: locality_report(pr_box()).conditioned_parameter_dependence,
+    "report-ns": lambda: locality_report(hv_box(0.3)).no_signaling,
+    "no_signaling": lambda: no_signaling(hv_box(0.3)),
+    "parameter_independence": lambda: parameter_independence(hv_box(0.3)),
+    "outcome_independence": lambda: outcome_independence(pr_box()),
+    "bell_factorizable": lambda: bell_factorizable(pr_box()),
+    "conditioned_dependence": lambda: conditioned_dependence(pr_box()),
+    "negative_zeros": lambda: outcome_independence(GOLDEN_TABLES["pr_negative_zeros"]()),
+    "lambda_sweep": lambda: lambda_sweep([LambdaDist.from_p0(0.3)])[0].no_signaling,
+}
+
+
+def eager(verdict):
+    """The same verdict built by the public constructor, one Witness at a time."""
+    return Verdict(False, tuple(Witness(w.x, w.y, w.a, w.b, w.lhs, w.rhs, w.side)
+                                for w in verdict.witnesses))
+
+
+@pytest.mark.parametrize("make", VIOLATED.values(), ids=VIOLATED.keys())
+class TestLazyWitnesses:
+    """A violated verdict builds its witnesses when they are first read and
+    behaves in every way like one built with them."""
+
+    def test_built_on_first_read_then_kept(self, make):
+        verdict = make()
+        assert "witnesses" not in vars(verdict)
+        witnesses = verdict.witnesses
+        assert type(witnesses) is tuple and witnesses
+        assert verdict.witnesses is witnesses
+
+    def test_equal_and_same_hash_as_eager(self, make):
+        twin = eager(make())
+        assert make() == twin and twin == make()
+        assert hash(make()) == hash(twin)
+        assert make() != Verdict(False, twin.witnesses[:-1] or twin.witnesses * 2)
+
+    def test_repr_unchanged(self, make):
+        assert repr(make()) == repr(eager(make()))
+
+    def test_pickle_before_and_after_first_read(self, make):
+        twin = eager(make())
+        unread, read = make(), make()
+        read.witnesses
+        for verdict in unread, read:
+            back = pickle.loads(pickle.dumps(verdict))
+            assert back == twin and repr(back) == repr(twin)
+            assert json.dumps(back.as_dict()) == json.dumps(twin.as_dict())
+        assert pickle.dumps(unread) == pickle.dumps(read)
+
+    def test_copy_asdict_replace(self, make):
+        twin = eager(make())
+        assert copy.copy(make()) == twin
+        assert copy.deepcopy(make()) == twin
+        assert dataclasses.asdict(make()) == dataclasses.asdict(twin)
+        assert dataclasses.replace(make()) == twin
+        with pytest.raises(ValueError):
+            dataclasses.replace(make(), holds=True)
+
+    def test_as_dict_same_before_and_after_read(self, make):
+        verdict = make()
+        before = json.dumps(verdict.as_dict())
+        verdict.witnesses
+        assert json.dumps(verdict.as_dict()) == before == json.dumps(eager(verdict).as_dict())
+        assert verdict.as_dict()["witnesses"] == [w.as_row() for w in verdict.witnesses]
+
+
+def test_racing_first_reads_share_one_tuple():
+    """Threads reading a fresh verdict's witnesses at once all get one tuple."""
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(50):
+            verdict, seen = locality_report(pr_box()).outcome_independence, []
+            barrier = threading.Barrier(8)
+
+            def read(verdict=verdict, seen=seen, barrier=barrier):
+                barrier.wait(timeout=10)
+                seen.append(verdict.witnesses)
+
+            threads = [threading.Thread(target=read) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+            assert not any(t.is_alive() for t in threads)
+            assert len(seen) == 8 and all(w is verdict.witnesses for w in seen)
+    finally:
+        sys.setswitchinterval(switch)
