@@ -73,14 +73,26 @@ def _check_eps(eps: float) -> float:
     return eps
 
 
-def _check_seed(seed: int) -> int:
-    """An int of any size; True, 1.5, NaN or "7" would silently mislabel a stream."""
+def _check_seed(seed: int, least: int | None = None) -> int:
+    """An int of any size, at least ``least`` if that is given; True, 1.5, NaN or
+    "7" would silently mislabel a stream."""
     try:
         if isinstance(seed, (bool, np.bool_)):
             raise TypeError
-        return operator.index(seed)
+        value = operator.index(seed)
     except TypeError:
         raise ValueError(f"seed must be an integer, got {seed!r}") from None
+    if least is not None and value < least:
+        raise ValueError(f"seed must be >= {least}, got {value}")
+    return value
+
+
+def _check_type(value: object, kind: type, caller: str) -> object:
+    """``value`` itself if it is a ``kind``; a box passed where a model belongs,
+    or the reverse, would otherwise be drawn as the other or fail deep inside."""
+    if not isinstance(value, kind):
+        raise TypeError(f"{caller} takes a {kind.__name__}, got {type(value).__name__}")
+    return value
 
 
 def _check_count(values: object, name: str, least: int = 1) -> np.ndarray:

@@ -76,8 +76,8 @@ class HVModel:
     when they ignore an argument; actual dependence is discovered by
     :func:`hv_dependence` instead of being encoded in the type.  They are
     called only on construction, which tabulates them as the read-only
-    ``responses[party, x, y, lambda]`` (party 0 is A) that all readers use
-    and the one-hot lambda-conditioned boxes ``_boxes[lambda, x, y, a, b]``.
+    ``responses[party, x, y, lambda]`` (party 0 is A), the one table that
+    all readers use.
     """
 
     respond_a: Callable[[int, int, int], int]
@@ -85,7 +85,6 @@ class HVModel:
     dist: LambdaDist
     label: str = ""
     responses: np.ndarray = field(init=False, repr=False, compare=False)
-    _boxes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         responses = np.empty((2, 2, 2, 2), dtype=np.int64)
@@ -93,10 +92,8 @@ class HVModel:
             for party, name in enumerate(("respond_a", "respond_b")):
                 out = getattr(self, name)(x, y, lam)
                 responses[party, x, y, lam] = _check_bit(out, name, x, y, lam)
-        boxes = _CELL_TABLES[(2 * responses[0] + responses[1]).transpose(2, 0, 1)]
-        for name, table in ("responses", responses), ("_boxes", boxes):
-            table.setflags(write=False)
-            object.__setattr__(self, name, table)
+        responses.setflags(write=False)
+        object.__setattr__(self, "responses", responses)
 
 
 def pr_hv_model(dist: LambdaDist) -> HVModel:
@@ -126,14 +123,16 @@ def truth_table_csv(m: HVModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _average(m: HVModel, p0: float | np.ndarray, p1: float | np.ndarray) -> np.ndarray:
-    """p0 * box(lambda=0) + p1 * box(lambda=1), tables (..., 2, 2, 2, 2)."""
-    return np.multiply.outer(p0, m._boxes[0]) + np.multiply.outer(p1, m._boxes[1])
+def _average(r: np.ndarray, p0: float | np.ndarray, p1: float | np.ndarray) -> np.ndarray:
+    """p0 * box(lambda=0) + p1 * box(lambda=1), tables (..., 2, 2, 2, 2), where
+    box(lambda) is one-hot at the cell 2a + b that responses ``r`` give each (x, y)."""
+    boxes = _CELL_TABLES[(2 * r[0] + r[1]).transpose(2, 0, 1)]
+    return np.multiply.outer(p0, boxes[0]) + np.multiply.outer(p1, boxes[1])
 
 
 def hv_to_box(m: HVModel) -> BoxTable:
     """Marginalize the hidden variable into an observable box table."""
-    return BoxTable(_average(m, m.dist.p0, m.dist.p1), m.label or "hv")
+    return BoxTable(_average(m.responses, m.dist.p0, m.dist.p1), m.label or "hv")
 
 
 @dataclass(frozen=True)
@@ -187,7 +186,7 @@ def lambda_sweep(
     eps = _check_eps(eps)
     distributions = list(distributions)  # read twice, so an iterator is read once here
     p0, p1 = np.array([(d.p0, d.p1) for d in distributions]).reshape(-1, 2).T
-    family = _average(pr_hv_model(LambdaDist(0.5, 0.5)), p0, p1)
+    family = _average(pr_hv_model(LambdaDist(0.5, 0.5)).responses, p0, p1)
     ns = _verdicts(family, eps, checks=1)  # no-signaling is the plan's first check
     ok = (~_off_support(family, eps)).tolist()
     return list(map(SweepPoint, distributions, _chsh_s(family)[1].tolist(), ns, ok))

@@ -168,11 +168,12 @@ def max_chsh_over_random_angles(
     ``chsh_value`` give it (:func:`_abs_chsh`).  The angles are drawn and
     evaluated block by block, so memory stays bounded; the stream is the one
     a single draw of all ``n_points`` rows gives.  Ties keep the first
-    maximum.  ``n_points`` and ``seed`` follow the samplers' rules; the seed
-    goes to ``default_rng`` unreduced.
+    maximum.  ``n_points`` and ``seed`` follow the samplers' rules, except
+    that the seed must be at least 0: it goes to ``default_rng`` unreduced,
+    which takes no negative seed.
     """
     n_points = int(_check_count(n_points, "n_points"))
-    rng = np.random.default_rng(_check_seed(seed))
+    rng = np.random.default_rng(_check_seed(seed, least=0))
     best_abs, best = -1.0, None
     for start in range(0, n_points, _SEARCH_BLOCK):
         rows = rng.uniform(0.0, 2.0 * math.pi, size=(min(_SEARCH_BLOCK, n_points - start), 4))

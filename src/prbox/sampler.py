@@ -20,20 +20,23 @@ boundary at p0), whose tabulated responses then give (a, b).  The
 boundaries never decrease, so counts tally #(w >> 11 >= k) in one pass
 per distinct threshold, and in none for k = 0 (every word passes) or
 2**53 (no word does), then take segment counts as differences, labelling
-no trial; records index the 48 shared frozen records by segment, and
-``records_to_csv`` looks up their lines by identity.  Counts and records
-are two views of the same draw, so identical (input, trials, seed) yield
-identical tables and records.
+no trial; records index the 48 shared frozen records by segment.  A
+record formats its own CSV line on first use and keeps it, so the shared
+records format once per process and ``records_to_csv`` only joins lines.
+Counts and records are two views of the same draw, so identical (input,
+trials, seed) yield identical tables and records.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .box import BoxTable, _check_count, _check_seed
+from .box import BoxTable, _check_count, _check_seed, _check_type
 from .chsh import ChshResult, chsh_value
 from .hidden_variable import HVModel
 
@@ -68,6 +71,13 @@ class SampleRecord:
     a: int
     b: int
     lambda_value: int | None = None
+
+    @cached_property
+    def _csv_line(self) -> str:
+        """The record's ``records_to_csv`` line, computed from its fields on
+        first use and kept in its ``__dict__``, outside ``==``, hash and repr."""
+        lam = "" if self.lambda_value is None else str(self.lambda_value)
+        return f"{self.x},{self.y},{lam},{self.a},{self.b}"
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,13 +139,6 @@ _RECORDS = np.array(
 ).reshape(4, 3, 4)
 
 
-def _line(r: SampleRecord) -> str:
-    return f"{r.x},{r.y},{'' if r.lambda_value is None else r.lambda_value!s},{r.a},{r.b}"
-
-
-_LINES = {id(r): _line(r) for r in _RECORDS.flat}
-
-
 def _draw(obj: BoxTable | HVModel, trials: int, seed: int) -> Iterator[tuple]:
     """Per setting pair in ``SETTING_PAIRS`` order: (uint64 thresholds k of
     the interior boundaries, shared records of the segments, chunks of raw
@@ -189,34 +192,30 @@ def _records(obj: BoxTable | HVModel, trials: int, seed: int) -> list[SampleReco
 
 def sample_box(t: BoxTable, trials_per_setting: int, seed: int) -> EmpiricalTable:
     """Draw outcome pairs from the exact table, per setting pair."""
-    return _counts(t, trials_per_setting, seed)
+    return _counts(_check_type(t, BoxTable, "sample_box"), trials_per_setting, seed)
 
 
 def sample_box_records(
     t: BoxTable, trials_per_setting: int, seed: int
 ) -> list[SampleRecord]:
     """Per-trial records for the same stream :func:`sample_box` consumes."""
-    return _records(t, trials_per_setting, seed)
+    return _records(_check_type(t, BoxTable, "sample_box_records"), trials_per_setting, seed)
 
 
 def sample_hv(m: HVModel, trials_per_setting: int, seed: int) -> EmpiricalTable:
     """Draw the hidden variable per trial, then apply the response functions."""
-    return _counts(m, trials_per_setting, seed)
+    return _counts(_check_type(m, HVModel, "sample_hv"), trials_per_setting, seed)
 
 
 def sample_hv_records(
     m: HVModel, trials_per_setting: int, seed: int
 ) -> list[SampleRecord]:
-    return _records(m, trials_per_setting, seed)
+    return _records(_check_type(m, HVModel, "sample_hv_records"), trials_per_setting, seed)
 
 
 def records_to_csv(records: Iterable[SampleRecord]) -> str:
     """Record-level dump; the lambda column is blank for box sampling."""
-    records = list(records)
-    lines = list(map(_LINES.get, map(id, records)))
-    if None in lines:  # records built by the caller are formatted one by one
-        lines = [line or _line(r) for line, r in zip(lines, records)]
-    return "\n".join(["x,y,lambda,a,b", *lines]) + "\n"
+    return "\n".join(["x,y,lambda,a,b", *map(attrgetter("_csv_line"), records)]) + "\n"
 
 
 def empirical_chsh(e: EmpiricalTable) -> ChshResult:
@@ -233,6 +232,6 @@ class ComparisonResult:
 def compare(e: EmpiricalTable, t: BoxTable) -> ComparisonResult:
     """L-infinity distance between empirical frequencies and exact
     probabilities, with signed per-cell deltas (frequency minus exact)."""
-    deltas = e.frequencies() - t.p
+    deltas = e.frequencies() - _check_type(t, BoxTable, "compare").p
     per_cell = dict(zip(_CELLS, deltas.ravel().tolist()))
     return ComparisonResult(float(np.max(np.abs(deltas))), per_cell)

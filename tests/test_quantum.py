@@ -329,6 +329,15 @@ class TestSearchInputs:
         with pytest.raises(ValueError, match="seed must be an integer"):
             max_chsh_over_random_angles(10, seed)
 
+    @pytest.mark.parametrize("seed", [-5, -1, np.int64(-5), -(2**70)], ids=repr)
+    def test_negative_seeds_rejected(self, seed):
+        # default_rng takes no negative seed, and its own error names no argument
+        with pytest.raises(ValueError, match=f"seed must be >= 0, got {int(seed)}$"):
+            max_chsh_over_random_angles(10, seed)
+
+    def test_seed_zero_accepted(self):
+        assert repr(max_chsh_over_random_angles(50, 0)) == repr(reference_search(50, 0))
+
     @pytest.mark.parametrize(
         "n_points", [1.5, np.nan, np.inf, "3", True, np.True_, 3 + 0j, 2**70, 0, -1], ids=repr
     )

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -665,3 +668,109 @@ class TestRecordCsv:
         assert own[0] == shared[-1]
         assert records_to_csv(own + shared) == reference_csv(own + shared)
         assert records_to_csv([]) == "x,y,lambda,a,b\n"
+
+
+def pinned_line(r):
+    """A record's CSV line as the module's former ``_line`` function wrote it;
+    the line a record keeps must equal it."""
+    return f"{r.x},{r.y},{'' if r.lambda_value is None else r.lambda_value!s},{r.a},{r.b}"
+
+
+def pinned_csv(records):
+    return "\n".join(["x,y,lambda,a,b", *map(pinned_line, records)]) + "\n"
+
+
+def _rebuilt(r):
+    """A record rebuilt as pickle rebuilds one pickled before records kept
+    their line: a bare instance given the record's field dict, unformatted."""
+    new = object.__new__(SampleRecord)
+    new.__dict__.update({f.name: getattr(r, f.name) for f in dataclasses.fields(r)})
+    return new
+
+
+OWN = [
+    SampleRecord(True, False, True, True),
+    SampleRecord(1, 0, 1, 1, np.int64(1)),
+    SampleRecord(0, 1, 0, 0, -(2**70)),
+    SampleRecord(1, 1, 0, 1, 7),
+    SampleRecord(np.int64(1), np.uint8(0), 1, 0, None),
+    SampleRecord(False, True, False, True, True),
+]
+COPIES = {
+    "pickle": lambda r: pickle.loads(pickle.dumps(r)),
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "replace": dataclasses.replace,
+    "rebuilt": _rebuilt,
+}
+
+
+def _sampled():
+    models = [pr_hv_model(LambdaDist.from_p0(0.3)), OTHER_MODEL]
+    return (
+        sample_box_records(pr_box(), 40, SEED)
+        + sample_box_records(_parity_boxes()[-1], 40, -5)
+        + [r for m in models for r in sample_hv_records(m, 40, 7)]
+    )
+
+
+class TestRecordsFormatThemselves:
+    """A record computes its CSV line from its fields on first use and keeps
+    it; every way of getting a record gives the line the old format gives."""
+
+    def test_sampled_records(self):
+        records = _sampled()
+        assert {r.lambda_value for r in records} == {None, 0, 1}
+        assert records_to_csv(records) == pinned_csv(records)
+
+    def test_caller_records(self):
+        assert records_to_csv(OWN) == pinned_csv(OWN)
+        assert records_to_csv(OWN).splitlines()[1] == "True,False,,True,True"
+
+    @pytest.mark.parametrize("how", sorted(COPIES))
+    @pytest.mark.parametrize("formatted_first", [False, True])
+    def test_copies(self, how, formatted_first):
+        records = list(map(_rebuilt, _sampled()[::7] + OWN))
+        if formatted_first:
+            records_to_csv(records)
+        copies = list(map(COPIES[how], records))
+        assert copies == records
+        assert records_to_csv(copies) == pinned_csv(records)
+
+    def test_a_generator_reads_like_its_list(self):
+        records = _sampled() + OWN
+        assert records_to_csv(r for r in records) == records_to_csv(records)
+        assert records_to_csv(iter([])) == records_to_csv([]) == "x,y,lambda,a,b\n"
+
+    def test_formatting_leaves_equality_hash_repr_and_fields_alone(self):
+        records = list(map(_rebuilt, _sampled()[::5] + OWN))
+        assert not any("_csv_line" in vars(r) for r in records)
+        before = [(r, hash(r), repr(r), dataclasses.asdict(r)) for r in records]
+        records_to_csv(records)
+        after = [(r, hash(r), repr(r), dataclasses.asdict(r)) for r in records]
+        assert after == before
+        assert all("_csv_line" in vars(r) for r in records)
+
+
+class TestSamplersTakeTheirOwnKind:
+    """A sampler refuses the other kind of input instead of drawing it."""
+
+    MODEL = pr_hv_model(LambdaDist.from_p0(0.3))
+
+    @pytest.mark.parametrize(
+        "sample, wrong",
+        [(sample_box, MODEL), (sample_box_records, MODEL),
+         (sample_hv, pr_box()), (sample_hv_records, pr_box())],
+        ids=SAMPLER_IDS,
+    )
+    def test_wrong_kind_rejected(self, sample, wrong):
+        got = type(wrong).__name__
+        with pytest.raises(TypeError, match=f"^{sample.__name__} takes a .*, got {got}$"):
+            sample(wrong, 10, SEED)
+
+    @pytest.mark.parametrize("wrong", [MODEL, pr_box().p, None], ids=["model", "array", "none"])
+    def test_compare_takes_a_box(self, wrong):
+        table = sample_box(pr_box(), 10, SEED)
+        got = type(wrong).__name__
+        with pytest.raises(TypeError, match=f"^compare takes a BoxTable, got {got}$"):
+            compare(table, wrong)
