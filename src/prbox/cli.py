@@ -60,10 +60,12 @@ from .quantum import MeasurementAngles, singlet_box
 
 
 class BoxSpecError(ValueError):
-    """Box-spec grammar error; carries the offending position."""
+    """Box-spec grammar error; carries its reason and the offending position,
+    counted from the start of the whole spec, mix components included."""
 
-    def __init__(self, message: str, position: int = 0):
-        super().__init__(f"{message} (at position {position})")
+    def __init__(self, reason: str, position: int = 0):
+        super().__init__(f"{reason} (at position {position})")
+        self.reason = reason
         self.position = position
 
 
@@ -134,7 +136,11 @@ def parse_box_spec(spec: str, eps: float = DEFAULT_EPS) -> BoxTable | HVModel:
             sub, _, weight_text = component.rpartition("@")
             if sub.startswith("mix:"):
                 raise BoxSpecError("mix components cannot nest mix", pos)
-            boxes.append(as_box(parse_box_spec(sub, eps)))
+            try:
+                box = parse_box_spec(sub, eps)
+            except BoxSpecError as exc:
+                raise BoxSpecError(exc.reason, pos + exc.position) from None
+            boxes.append(as_box(box))
             weights.append(_parse_float(weight_text, "weight", pos + len(sub) + 1))
         return convex_mix(boxes, weights, eps, label=spec)
     raise BoxSpecError(f"unknown box spec {spec!r}", 0)
@@ -229,61 +235,41 @@ def _cmd_sweep(args: argparse.Namespace, _: None) -> str:
     return _json_dumps([p.as_dict() for p in lambda_sweep(dists, args.eps)])
 
 
+_BOX = ("--box",), dict(required=True, help="box spec (see module help)")
+_EPS = ("--eps",), dict(type=float, default=DEFAULT_EPS,
+                        help="comparison tolerance (default 1e-9)")
+_FORMAT = ("--format",), dict(choices=("json", "csv"), help="output format")
+_OUTPUT = ("-o", "--output"), dict(help="write output to a file")
+
+# subcommand: its help, its handler and its options, in the order --help lists them
+_COMMANDS = {
+    "build": ("construct a box and emit its JSON", _cmd_build, (_BOX, _EPS, _OUTPUT)),
+    "analyze": ("run all locality analyses", _cmd_analyze, (_BOX, _EPS, _OUTPUT)),
+    "chsh": ("correlations and CHSH combination", _cmd_chsh, (_BOX, _EPS, _OUTPUT)),
+    "table1": ("hidden-variable truth table", _cmd_table1, (_FORMAT, _OUTPUT)),
+    "sample": ("seeded Monte Carlo sampling", _cmd_sample, (
+        _BOX, _EPS, _FORMAT, _OUTPUT,
+        (("--seed",), dict(type=int, required=True, help="stream seed")),
+        (("--trials",), dict(type=int, required=True, help="trials per setting pair")),
+        (("--records",), dict(action="store_true", help="dump per-trial records (CSV only)")),
+    )),
+    "sweep": ("hidden-variable distribution sweep", _cmd_sweep, (
+        (("--grid",), dict(required=True, help="p0 grid as start:stop:step")), _EPS, _OUTPUT,
+    )),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="prbox",
         description="Construct and analyze bipartite correlation boxes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_box(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--box", required=True, help="box spec (see module help)")
-        p.add_argument("--eps", type=float, default=DEFAULT_EPS,
-                       help="comparison tolerance (default 1e-9)")
-
-    def add_output(p: argparse.ArgumentParser, formats: bool = False) -> None:
-        if formats:
-            p.add_argument("--format", choices=("json", "csv"), default=None,
-                           help="output format")
-        p.add_argument("-o", "--output", default=None, help="write output to a file")
-
-    p_build = sub.add_parser("build", help="construct a box and emit its JSON")
-    add_box(p_build)
-    add_output(p_build)
-    p_build.set_defaults(handler=_cmd_build)
-
-    p_analyze = sub.add_parser("analyze", help="run all locality analyses")
-    add_box(p_analyze)
-    add_output(p_analyze)
-    p_analyze.set_defaults(handler=_cmd_analyze)
-
-    p_chsh = sub.add_parser("chsh", help="correlations and CHSH combination")
-    add_box(p_chsh)
-    add_output(p_chsh)
-    p_chsh.set_defaults(handler=_cmd_chsh)
-
-    p_table1 = sub.add_parser("table1", help="hidden-variable truth table")
-    add_output(p_table1, formats=True)
-    p_table1.set_defaults(handler=_cmd_table1)
-
-    p_sample = sub.add_parser("sample", help="seeded Monte Carlo sampling")
-    add_box(p_sample)
-    add_output(p_sample, formats=True)
-    p_sample.add_argument("--seed", type=int, required=True, help="stream seed")
-    p_sample.add_argument("--trials", type=int, required=True,
-                          help="trials per setting pair")
-    p_sample.add_argument("--records", action="store_true",
-                          help="dump per-trial records (CSV only)")
-    p_sample.set_defaults(handler=_cmd_sample)
-
-    p_sweep = sub.add_parser("sweep", help="hidden-variable distribution sweep")
-    p_sweep.add_argument("--grid", required=True,
-                         help="p0 grid as start:stop:step")
-    p_sweep.add_argument("--eps", type=float, default=DEFAULT_EPS,
-                         help="comparison tolerance (default 1e-9)")
-    add_output(p_sweep)
-    p_sweep.set_defaults(handler=_cmd_sweep)
-
+    for name, (help_text, handler, options) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for flags, settings in options:
+            command.add_argument(*flags, **settings)
+        command.set_defaults(handler=handler)
     return parser
 
 

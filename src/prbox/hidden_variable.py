@@ -58,7 +58,10 @@ class LambdaDist:
     p1: float
 
     def __post_init__(self) -> None:
-        _check_weights((self.p0, self.p1), "lambda probabilities", DEFAULT_EPS)
+        # stored as the Python floats checked, so a bool or numpy weight serializes
+        p0, p1 = _check_weights((self.p0, self.p1), "lambda probabilities", DEFAULT_EPS).tolist()
+        object.__setattr__(self, "p0", p0)
+        object.__setattr__(self, "p1", p1)
 
     @classmethod
     def from_p0(cls, p0: float) -> LambdaDist:

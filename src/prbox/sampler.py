@@ -220,7 +220,7 @@ def records_to_csv(records: Iterable[SampleRecord]) -> str:
 
 def empirical_chsh(e: EmpiricalTable) -> ChshResult:
     """CHSH combination with frequencies substituted for probabilities."""
-    return chsh_value(e.as_box())
+    return chsh_value(_check_type(e, EmpiricalTable, "empirical_chsh").as_box())
 
 
 @dataclass(frozen=True)
@@ -232,6 +232,7 @@ class ComparisonResult:
 def compare(e: EmpiricalTable, t: BoxTable) -> ComparisonResult:
     """L-infinity distance between empirical frequencies and exact
     probabilities, with signed per-cell deltas (frequency minus exact)."""
+    _check_type(e, EmpiricalTable, "compare")
     deltas = e.frequencies() - _check_type(t, BoxTable, "compare").p
     per_cell = dict(zip(_CELLS, deltas.ravel().tolist()))
     return ComparisonResult(float(np.max(np.abs(deltas))), per_cell)

@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -19,7 +20,15 @@ from prbox import (
     sample_hv,
     sample_hv_records,
 )
-from prbox.cli import BoxSpecError, _json_dumps, _parse_grid, as_box, main, parse_box_spec
+from prbox.cli import (
+    BoxSpecError,
+    _json_dumps,
+    _parse_grid,
+    as_box,
+    build_parser,
+    main,
+    parse_box_spec,
+)
 from prbox.hidden_variable import truth_table_csv
 
 
@@ -198,6 +207,63 @@ class TestCommands:
         assert json.loads(path.read_text())["s"] == 4.0
 
 
+# Per subcommand, in order: its help, its handler, and each option as
+# (flags, dest, required, default, choices, type, action, help).
+PARSER_SURFACE = [
+    ("build", "construct a box and emit its JSON", "_cmd_build", [
+        (("--box",), "box", True, None, None, None, "_StoreAction", "box spec (see module help)"),
+        (("--eps",), "eps", False, 1e-9, None, float, "_StoreAction", "comparison tolerance (default 1e-9)"),
+        (("-o", "--output"), "output", False, None, None, None, "_StoreAction", "write output to a file"),
+    ]),
+    ("analyze", "run all locality analyses", "_cmd_analyze", [
+        (("--box",), "box", True, None, None, None, "_StoreAction", "box spec (see module help)"),
+        (("--eps",), "eps", False, 1e-9, None, float, "_StoreAction", "comparison tolerance (default 1e-9)"),
+        (("-o", "--output"), "output", False, None, None, None, "_StoreAction", "write output to a file"),
+    ]),
+    ("chsh", "correlations and CHSH combination", "_cmd_chsh", [
+        (("--box",), "box", True, None, None, None, "_StoreAction", "box spec (see module help)"),
+        (("--eps",), "eps", False, 1e-9, None, float, "_StoreAction", "comparison tolerance (default 1e-9)"),
+        (("-o", "--output"), "output", False, None, None, None, "_StoreAction", "write output to a file"),
+    ]),
+    ("table1", "hidden-variable truth table", "_cmd_table1", [
+        (("--format",), "format", False, None, ("json", "csv"), None, "_StoreAction", "output format"),
+        (("-o", "--output"), "output", False, None, None, None, "_StoreAction", "write output to a file"),
+    ]),
+    ("sample", "seeded Monte Carlo sampling", "_cmd_sample", [
+        (("--box",), "box", True, None, None, None, "_StoreAction", "box spec (see module help)"),
+        (("--eps",), "eps", False, 1e-9, None, float, "_StoreAction", "comparison tolerance (default 1e-9)"),
+        (("--format",), "format", False, None, ("json", "csv"), None, "_StoreAction", "output format"),
+        (("-o", "--output"), "output", False, None, None, None, "_StoreAction", "write output to a file"),
+        (("--seed",), "seed", True, None, None, int, "_StoreAction", "stream seed"),
+        (("--trials",), "trials", True, None, None, int, "_StoreAction", "trials per setting pair"),
+        (("--records",), "records", False, False, None, None, "_StoreTrueAction",
+         "dump per-trial records (CSV only)"),
+    ]),
+    ("sweep", "hidden-variable distribution sweep", "_cmd_sweep", [
+        (("--grid",), "grid", True, None, None, None, "_StoreAction", "p0 grid as start:stop:step"),
+        (("--eps",), "eps", False, 1e-9, None, float, "_StoreAction", "comparison tolerance (default 1e-9)"),
+        (("-o", "--output"), "output", False, None, None, None, "_StoreAction", "write output to a file"),
+    ]),
+]
+
+
+def test_parser_surface():
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert (commands.dest, commands.required) == ("command", True)
+    helps = {choice.dest: choice.help for choice in commands._choices_actions}
+    surface = [
+        (name, helps[name], sub.get_default("handler").__name__, [
+            (tuple(a.option_strings), a.dest, a.required, a.default, a.choices, a.type,
+             type(a).__name__, a.help)
+            for a in sub._actions if not isinstance(a, argparse._HelpAction)
+        ])
+        for name, sub in commands.choices.items()
+    ]
+    assert surface == PARSER_SURFACE
+    assert sum(len(options) for *_, options in surface) == 21
+
+
 class TestExitCodes:
     def test_unknown_spec_is_2(self, capsys):
         code, _, err = run(capsys, "chsh", "--box", "what")
@@ -219,7 +285,15 @@ class TestExitCodes:
             ("singlet:0,abc,2,3", "expected a number for angle, got 'abc' (at position 10)"),
             ("singlet:1.5,2,,3", "expected a number for angle, got '' (at position 14)"),
             ("singlet:0,1,2,3x", "expected a number for angle, got '3x' (at position 14)"),
-            ("mix:pr@0.5+local:0,2,0,0@0.5", "expected 0 or 1 for local response, got '2' (at position 8)"),
+            ("mix:pr@0.5+local:0,2,0,0@0.5", "expected 0 or 1 for local response, got '2' (at position 19)"),
+            ("mix:@1", "unknown box spec '' (at position 4)"),
+            ("mix:pr@0.5+nope@0.5", "unknown box spec 'nope' (at position 11)"),
+            ("mix:pr@0.5+hv:q@0.5", "hv takes p0=<real>, got 'q' (at position 14)"),
+            ("mix:pr@0.5+hv:p0=x@0.5", "expected a number for p0, got 'x' (at position 17)"),
+            ("mix:singlet:0,1,2@0.5+pr@0.5", "singlet takes four comma-separated angles, got '0,1,2' (at position 12)"),
+            ("mix:pr@0.5+singlet:0,abc,2,3@0.5", "expected a number for angle, got 'abc' (at position 21)"),
+            ("mix:pr@0.5+file:@0.5", "file takes a path (at position 16)"),
+            ("mix:pr@0.5+pr@x", "expected a number for weight, got 'x' (at position 14)"),
         ],
     )
     def test_field_grammar_error_text(self, capsys, spec, message):

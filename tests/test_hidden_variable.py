@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -89,6 +91,18 @@ class TestLambdaDist:
     def test_non_finite_rejected(self, p0):
         with pytest.raises(ValueError, match="finite"):
             LambdaDist.from_p0(p0)
+
+    @pytest.mark.parametrize(
+        "p0, p1",
+        [(True, False), (1, 0), (np.float32(0.5), np.float32(0.5)), (np.float64(0.25), 0.75)],
+        ids=["bool", "int", "float32", "float64"],
+    )
+    def test_weights_stored_as_floats(self, p0, p1):
+        dist = LambdaDist(p0, p1)
+        assert (type(dist.p0), type(dist.p1)) == (float, float)
+        assert (dist.p0, dist.p1) == (float(p0), float(p1))
+        point = lambda_sweep([dist])[0].as_dict()
+        assert json.loads(json.dumps(point))["p0"] == float(p0)
 
     def test_prob_accessor(self):
         dist = LambdaDist(0.25, 0.75)

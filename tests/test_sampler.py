@@ -774,3 +774,13 @@ class TestSamplersTakeTheirOwnKind:
         got = type(wrong).__name__
         with pytest.raises(TypeError, match=f"^compare takes a BoxTable, got {got}$"):
             compare(table, wrong)
+
+    @pytest.mark.parametrize("wrong", [pr_box(), MODEL, None], ids=["box", "model", "none"])
+    def test_empirical_readers_take_a_table(self, wrong):
+        got = type(wrong).__name__
+        with pytest.raises(TypeError, match=f"^empirical_chsh takes a EmpiricalTable, got {got}$"):
+            empirical_chsh(wrong)
+        # the empirical table is checked first, whatever the exact table is
+        for exact in pr_box(), self.MODEL:
+            with pytest.raises(TypeError, match=f"^compare takes a EmpiricalTable, got {got}$"):
+                compare(wrong, exact)
