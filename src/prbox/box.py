@@ -90,8 +90,9 @@ def _check_seed(seed: int, least: int | None = None) -> int:
 def _check_type(value: object, kind: type, caller: str) -> object:
     """``value`` itself if it is a ``kind``; a box passed where a model belongs,
     or the reverse, would otherwise be drawn as the other or fail deep inside."""
-    if not isinstance(value, kind):
-        raise TypeError(f"{caller} takes a {kind.__name__}, got {type(value).__name__}")
+    if not isinstance(value, kind):  # "an" before a vowel sound: EmpiricalTable, HVModel
+        article = "an" if kind.__name__[0] in "AEHIO" else "a"
+        raise TypeError(f"{caller} takes {article} {kind.__name__}, got {type(value).__name__}")
     return value
 
 

@@ -1,14 +1,15 @@
 """Deterministic hidden-variable models over a binary shared variable.
 
 A model is a pair of total response functions (x, y, lambda) -> outcome
-plus a distribution over lambda in {0, 1}; its observable box is the
-p0/p1-weighted sum of its one-hot lambda-conditioned boxes.  The canonical
-nonlocal model uses a = (x + lambda) mod 2 and b = (x + lambda - x*y) mod 2,
-whose outputs satisfy a xor b = x*y for every input triple, so its lambda
-average saturates the CHSH combination at 4 for *every* lambda
-distribution.  Only the balanced distribution (p0 = 1/2) reproduces the
-canonical no-signaling table; any other weighting leaks the remote setting
-into B's observable marginal, which :func:`lambda_sweep` reports.
+plus a distribution over lambda in {0, 1}.  Analyses and the sampler read it
+through ``_completion``: weights (p0, p1) and per lambda the box one-hot at
+the cell 2a + b its responses give (a box is the one-lambda case).  The
+observable box is their weighted sum, and :func:`hv_dependence` reads each
+lambda-box's verdicts.  The canonical nonlocal model uses a = (x + lambda)
+mod 2 and b = (x + lambda - x*y) mod 2, so a xor b = x*y at every input
+triple and its average reaches CHSH 4 for *every* lambda distribution.
+Only p0 = 1/2 gives the canonical no-signaling table; other weights leak
+the remote setting into B's marginal, which :func:`lambda_sweep` reports.
 """
 
 from __future__ import annotations
@@ -39,16 +40,8 @@ __all__ = [
 ]
 
 # Truth-table row order: y varies slowest, then x, then lambda.
-TRUTH_TABLE_ORDER: tuple[tuple[int, int, int], ...] = (
-    (0, 0, 0),
-    (0, 0, 1),
-    (1, 0, 0),
-    (1, 0, 1),
-    (0, 1, 0),
-    (0, 1, 1),
-    (1, 1, 0),
-    (1, 1, 1),
-)
+TRUTH_TABLE_ORDER = tuple((x, y, lam) for y, x, lam in np.ndindex(2, 2, 2))
+
 
 @dataclass(frozen=True)
 class LambdaDist:
@@ -126,16 +119,18 @@ def truth_table_csv(m: HVModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _average(r: np.ndarray, p0: float | np.ndarray, p1: float | np.ndarray) -> np.ndarray:
-    """p0 * box(lambda=0) + p1 * box(lambda=1), tables (..., 2, 2, 2, 2), where
-    box(lambda) is one-hot at the cell 2a + b that responses ``r`` give each (x, y)."""
-    boxes = _CELL_TABLES[(2 * r[0] + r[1]).transpose(2, 0, 1)]
-    return np.multiply.outer(p0, boxes[0]) + np.multiply.outer(p1, boxes[1])
+def _completion(obj: BoxTable | HVModel) -> tuple[np.ndarray, np.ndarray]:
+    """(weights (n,), boxes (n, 2, 2, 2, 2)): the lambda distribution and the
+    box at each lambda; a box is its own completion with one lambda."""
+    if isinstance(obj, BoxTable):
+        return np.ones(1), obj.p[None]
+    r = obj.responses
+    return np.array((obj.dist.p0, obj.dist.p1)), _CELL_TABLES[(2 * r[0] + r[1]).transpose(2, 0, 1)]
 
 
 def hv_to_box(m: HVModel) -> BoxTable:
     """Marginalize the hidden variable into an observable box table."""
-    return BoxTable(_average(m.responses, m.dist.p0, m.dist.p1), m.label or "hv")
+    return BoxTable(np.einsum("l,l...->...", *_completion(m)), m.label or "hv")
 
 
 @dataclass(frozen=True)
@@ -147,16 +142,13 @@ class HVDependence:
 
 
 def hv_dependence(m: HVModel) -> HVDependence:
-    """Which inputs each response function actually reacts to.
-
-    The cross-outcome flags are structurally False for every deterministic
-    model: responses are functions of the inputs and lambda alone, so an
-    outcome can never feed the other party's outcome.
-    """
-    a, b = m.responses
-    a_on_y = bool(np.any(a[:, 0] != a[:, 1]))
-    b_on_x = bool(np.any(b[0] != b[1]))
-    return HVDependence(a_on_y, b_on_x, False, False)
+    """Which remote setting and outcome each party reacts to at some lambda,
+    whatever its weight: the sides ("A", "B") of the witnesses of no-signaling
+    and of outcome independence on the lambda-boxes.  The outcome flags come
+    out False for every deterministic model, whose lambda-boxes are one-hot."""
+    verdicts = _verdicts(_completion(m)[1], DEFAULT_EPS, checks=3)  # per lambda: ns, cd, oi
+    ns, oi = ({w.side for v in verdicts[i::3] for w in v.witnesses} for i in (0, 2))
+    return HVDependence("A" in ns, "B" in ns, "A" in oi, "B" in oi)
 
 
 @dataclass(frozen=True)
@@ -188,8 +180,8 @@ def lambda_sweep(
     """
     eps = _check_eps(eps)
     distributions = list(distributions)  # read twice, so an iterator is read once here
-    p0, p1 = np.array([(d.p0, d.p1) for d in distributions]).reshape(-1, 2).T
-    family = _average(pr_hv_model(LambdaDist(0.5, 0.5)).responses, p0, p1)
+    weights = np.array([(d.p0, d.p1) for d in distributions]).reshape(-1, 2)
+    family = np.einsum("nl,l...->n...", weights, _completion(pr_hv_model(LambdaDist(0.5, 0.5)))[1])
     ns = _verdicts(family, eps, checks=1)  # no-signaling is the plan's first check
     ok = (~_off_support(family, eps)).tolist()
     return list(map(SweepPoint, distributions, _chsh_s(family)[1].tolist(), ns, ok))

@@ -11,12 +11,14 @@ numpy's ``Generator.random`` maps that word to the double
 u = (w >> 11) / 2**53 in [0, 1), and the sampler compares in integers
 instead: scaling by 2**53 is exact, so u >= c holds exactly when
 w >> 11 >= k with k = ceil(c * 2**53) clipped to [0, 2**53].
-Boxes and models share one draw: an inverse CDF over ordered segments of
-[0, 1), whose index is the number of interior boundaries c with u >= c.  A
-box's segments are its four (a, b) cells in lexicographic order
-(boundaries at the cumulative sums of P(a, b | x, y), negative entries
-clipped to 0); a hidden-variable model's are lambda = 0 and 1 (one
-boundary at p0), whose tabulated responses then give (a, b).  The
+Boxes and models share one draw on their completion: weights w over
+lambda and a box P_lambda per lambda (a box has one lambda).  It is an
+inverse CDF over the (lambda, a, b) segments of [0, 1), of widths
+w_lambda P_lambda(a, b | x, y), indexed by the number of interior
+boundaries c with u >= c.  Lambda spans [W_(lambda-1), W_lambda) for its
+cumulative weight W clipped to [0, 1], the last lambda up to 1 even where
+p0 + p1 < 1, and its cells split that span by their cumulative sums
+(negative entries clipped to 0).  The
 boundaries never decrease, so counts tally #(w >> 11 >= k) in one pass
 per distinct threshold, and in none for k = 0 (every word passes) or
 2**53 (no word does), then take segment counts as differences, labelling
@@ -29,8 +31,10 @@ trials, seed) yield identical tables and records.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from operator import attrgetter
 from typing import Iterable, Iterator
 
@@ -38,7 +42,7 @@ import numpy as np
 
 from .box import BoxTable, _check_count, _check_seed, _check_type
 from .chsh import ChshResult, chsh_value
-from .hidden_variable import HVModel
+from .hidden_variable import HVModel, _completion
 
 __all__ = [
     "ComparisonResult",
@@ -131,12 +135,12 @@ class EmpiricalTable:
 _CHUNK = 1 << 14
 _ONE = 2**53  # the threshold of c = 1: u = (w >> 11) / 2**53 < 1 for every word
 
-# Every record a run can yield, [pair 2x + y, lambda None/0/1, cell 2a + b].
+# Every record a run can yield, [pair 2x + y, 4 * (lambda None/0/1) + cell 2a + b].
 _RECORDS = np.array(
     [SampleRecord(*xy, *ab, lam) for xy in SETTING_PAIRS for lam in (None, 0, 1)
      for ab in np.ndindex(2, 2)],
     dtype=object,
-).reshape(4, 3, 4)
+).reshape(4, 12)
 
 
 def _draw(obj: BoxTable | HVModel, trials: int, seed: int) -> Iterator[tuple]:
@@ -145,15 +149,18 @@ def _draw(obj: BoxTable | HVModel, trials: int, seed: int) -> Iterator[tuple]:
     words).  The pairs re-key one generator, so a caller reads each pair's
     chunks before it asks for the next pair."""
     key = _check_seed(seed) % 2**64
-    if isinstance(obj, HVModel):
-        bounds = np.full((4, 1), obj.dist.p0)
-        cells = (2 * obj.responses[0] + obj.responses[1]).reshape(4, 2)
-        shared = _RECORDS[np.arange(4)[:, None], [1, 2], cells]
-    else:
-        # The fourth boundary is 1, above every u in [0, 1), so it is left out.
-        bounds = np.cumsum(np.clip(obj.p.reshape(4, 4), 0.0, None), axis=1)[:, :3]
-        shared = _RECORDS[:, 0]
-    ks = np.ceil(np.clip(bounds, 0.0, 1.0) * _ONE).astype(np.uint64)
+    weights, boxes = _completion(obj)
+    n = len(weights)
+    cdf = np.minimum(np.cumsum(np.maximum(boxes.reshape(n, 4, 4), 0.0), axis=2), 1.0)
+    cdf[:, :, 3] = 1.0  # each lambda's last cell ends where the lambda does
+    lo, hi = 0, _ONE  # each lambda's thresholds [lo, hi); a box's one lambda has them all
+    if n > 1:  # cumulative weights clipped to [0, 1], the last lambda ending at 1
+        cum = (math.ceil(min(max(c, 0.0), 1.0) * _ONE) for c in accumulate(weights.tolist()[:-1]))
+        hi = [*accumulate(cum, max), _ONE]
+        lo, hi = np.array([[0, *hi[:-1]], hi], dtype=float)[:, :, None, None]
+    # per pair, the (lambda, a, b) boundaries; the last is 1, above every u, so it is left out
+    ks = (lo + np.ceil((hi - lo) * cdf)).transpose(1, 0, 2).reshape(4, 4 * n)[:, :-1]
+    ks, shared = ks.astype(np.uint64), (_RECORDS[:, :4] if n == 1 else _RECORDS[:, 4:])
     philox = np.random.Philox(key=key)  # fresh OS entropy once per call, not per pair
     state = philox.state
     for pair in range(4):
@@ -165,18 +172,18 @@ def _draw(obj: BoxTable | HVModel, trials: int, seed: int) -> Iterator[tuple]:
 
 def _counts(obj: BoxTable | HVModel, trials: int, seed: int) -> EmpiricalTable:
     trials = int(_check_count(trials, "trials_per_setting"))
-    counts = [0] * 16
-    for ks, shared, chunks in _draw(obj, trials, seed):
+    counts: list[int] = []  # flat (x, y, a, b): pairs come in SETTING_PAIRS order
+    for ks, _, chunks in _draw(obj, trials, seed):
         ks = ks.tolist()
         # #(w >> 11 >= k) in one pass per distinct k; every word passes 0, none 2**53
         inner = {k: 0 for k in ks if 0 < k < _ONE}
         for w in chunks:
             for k in inner:
-                inner[k] += np.count_nonzero(w >= k << 11)
+                inner[k] += int(np.count_nonzero(w >= k << 11))
         tails = {0: trials, _ONE: 0, **inner}
         ends = [trials, *map(tails.get, ks), 0]
-        for r, passed, beyond in zip(shared, ends, ends[1:]):
-            counts[8 * r.x + 4 * r.y + 2 * r.a + r.b] += passed - beyond
+        # segment j = 4 * lambda + cell holds ends[j] - ends[j + 1]; a cell sums its lambdas
+        counts += [sum(ends[cell::4]) - sum(ends[cell + 1::4]) for cell in range(4)]
     table = np.array(counts, dtype=np.int64).reshape(2, 2, 2, 2)
     return EmpiricalTable(table, np.full((2, 2), trials), seed)
 

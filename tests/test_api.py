@@ -7,6 +7,7 @@ public interface and should be made on purpose."""
 import ast
 import importlib
 import inspect
+import re
 import sys
 from pathlib import Path
 
@@ -152,6 +153,19 @@ def test_each_input_rule_is_defined_in_box():
     assert [rule for rule in rules if rule[0] != "box.py"] == []
 
 
+def test_models_are_read_only_through_their_completion():
+    """hidden_variable.py alone reads a model's ``.responses`` or ``.dist``:
+    every other module sees a model as weights and one box per lambda."""
+    reads = [
+        (path.name, node.attr)
+        for path in sorted(Path(prbox.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr in ("responses", "dist")
+    ]
+    assert ("hidden_variable.py", "responses") in reads
+    assert [read for read in reads if read[0] != "hidden_variable.py"] == []
+
+
 def test_imports_are_stdlib_numpy_or_prbox():
     """pyproject.toml declares numpy as the one dependency, so every import
     in the package, nested ones included, is of the standard library, numpy
@@ -166,6 +180,29 @@ def test_imports_are_stdlib_numpy_or_prbox():
                 imports.append((path.name, node.module))
     assert ("quantum.py", "numpy") in imports
     assert [(f, m) for f, m in imports if m.partition(".")[0] not in allowed] == []
+
+
+def test_test_extras_cover_every_test_import():
+    """CI installs ``.[test]``, so every top-level import under tests/ and
+    bench/tests/ that is neither the standard library nor a module of this
+    repository is named in pyproject.toml's dependencies or test extra."""
+    tomllib = pytest.importorskip("tomllib")  # the standard library from Python 3.11
+    root = Path(__file__).resolve().parents[1]
+    project = tomllib.loads((root / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    requirements = [*project["dependencies"], *project["optional-dependencies"]["test"]]
+    declared = {re.match(r"[\w.-]+", r)[0].lower().replace("-", "_") for r in requirements}
+    local = {path.stem for d in ("tests", "bench", "scripts") for path in (root / d).rglob("*.py")}
+    local |= {path.name for path in (root / "src").iterdir() if path.is_dir()}
+    imported = set()
+    for path in [*(root / "tests").rglob("*.py"), *(root / "bench" / "tests").rglob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.partition(".")[0])
+    third_party = imported - sys.stdlib_module_names - local
+    assert {"numpy", "pytest", "hypothesis"} <= third_party
+    assert sorted(third_party - declared) == []
 
 
 def test_package_names_are_the_owners_lists():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from prbox import (
     DEFAULT_EPS,
     BoxTable,
+    HVDependence,
     HVModel,
     LambdaDist,
     SweepPoint,
@@ -310,6 +311,34 @@ class TestDependence:
             dist=LambdaDist.from_p0(0.5),
         )
         assert hv_dependence(m).a_depends_on_y
+
+    def test_a_lambda_of_zero_weight_still_counts(self):
+        # A reads y only at lambda = 1, which p0 = 1 never draws.
+        m = HVModel(lambda x, y, lam: y * lam, lambda x, y, lam: 0, LambdaDist.from_p0(1.0))
+        assert no_signaling(hv_to_box(m)).holds
+        assert hv_dependence(m) == HVDependence(True, False, False, False)
+
+    def test_every_response_table_matches_the_table_rule(self):
+        """All 2**16 response tables: the flags read from the lambda-boxes'
+        verdicts equal :func:`table_rule_dependence`, with the outcome flags
+        False.  p0 cycles through 0, 1 and 1/2, so some lambda has zero weight."""
+        dists = [LambdaDist.from_p0(p0) for p0 in (0.0, 1.0, 0.5)]
+        tables = (np.arange(2**16)[:, None] >> np.arange(16) & 1).reshape(-1, 2, 2, 2, 2)
+        mismatches = []
+        for i, r in enumerate(tables.tolist()):
+            m = HVModel(
+                lambda x, y, lam: r[0][x][y][lam], lambda x, y, lam: r[1][x][y][lam], dists[i % 3]
+            )
+            if hv_dependence(m) != table_rule_dependence(m.responses):
+                mismatches.append(i)
+        assert mismatches == []
+
+
+def table_rule_dependence(responses):
+    """The oracle: compare a response table [party, x, y, lambda] across the
+    remote setting; a deterministic response never reads the remote outcome."""
+    a, b = responses
+    return HVDependence(bool(np.any(a[:, 0] != a[:, 1])), bool(np.any(b[0] != b[1])), False, False)
 
 
 class TestLambdaSweep:

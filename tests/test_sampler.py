@@ -346,21 +346,25 @@ def _parity_boxes():
     return boxes
 
 
+OTHER_RESPONSES = (lambda x, y, lam: (y + lam * x) % 2, lambda x, y, lam: (lam + 1 + x) % 2)
+# Accepted weights with p0 + p1 just below and just above 1: lambda = 1 still
+# takes every u >= p0, up to 1, so no u in [p0 + p1, 1) reaches a cell the
+# model cannot give.
+SLACK_DISTS = [LambdaDist(0.5, 0.5 - 5e-10), LambdaDist(0.5, 0.5 + 5e-10)]
+
+
+def _canonical_and_other(dist):
+    return [pr_hv_model(dist), HVModel(*OTHER_RESPONSES, dist=dist, label="other")]
+
+
+SLACK_MODELS = [m for dist in SLACK_DISTS for m in _canonical_and_other(dist)]
+
+
 def _parity_models():
     eps = 1e-9
-    models = []
-    for p0 in (0.0, 1.0, -eps / 2, 1 + eps / 2, 1 + 1e-10, 0.5, 0.3183098861837907):
-        dist = LambdaDist.from_p0(p0)
-        models.append(pr_hv_model(dist))
-        models.append(
-            HVModel(
-                respond_a=lambda x, y, lam: (y + lam * x) % 2,
-                respond_b=lambda x, y, lam: (lam + 1 + x) % 2,
-                dist=dist,
-                label="other",
-            )
-        )
-    return models
+    p0s = (0.0, 1.0, -eps / 2, 1 + eps / 2, 1 + 1e-10, 0.5, 0.3183098861837907)
+    dists = [*map(LambdaDist.from_p0, p0s), *SLACK_DISTS]
+    return [m for dist in dists for m in _canonical_and_other(dist)]
 
 
 PARITY_INPUTS = _parity_boxes() + _parity_models()
@@ -460,6 +464,12 @@ class TestRawWords:
     @pytest.mark.parametrize("p0", EDGES, ids=repr)
     def test_model_boundary_on_crafted_words(self, monkeypatch, p0):
         self.check_crafted(monkeypatch, pr_hv_model(LambdaDist.from_p0(p0)))
+
+    @pytest.mark.parametrize(
+        "model", SLACK_MODELS, ids=[f"{m.label}-p1={m.dist.p1!r}" for m in SLACK_MODELS]
+    )
+    def test_slack_models_on_crafted_words(self, monkeypatch, model):
+        self.check_crafted(monkeypatch, model)
 
     def test_box_boundaries_on_crafted_words(self, monkeypatch):
         c, ulp = EDGE_C, 2.0**-53
@@ -758,14 +768,14 @@ class TestSamplersTakeTheirOwnKind:
     MODEL = pr_hv_model(LambdaDist.from_p0(0.3))
 
     @pytest.mark.parametrize(
-        "sample, wrong",
-        [(sample_box, MODEL), (sample_box_records, MODEL),
-         (sample_hv, pr_box()), (sample_hv_records, pr_box())],
+        "sample, wrong, kind",
+        [(sample_box, MODEL, "a BoxTable"), (sample_box_records, MODEL, "a BoxTable"),
+         (sample_hv, pr_box(), "an HVModel"), (sample_hv_records, pr_box(), "an HVModel")],
         ids=SAMPLER_IDS,
     )
-    def test_wrong_kind_rejected(self, sample, wrong):
+    def test_wrong_kind_rejected(self, sample, wrong, kind):
         got = type(wrong).__name__
-        with pytest.raises(TypeError, match=f"^{sample.__name__} takes a .*, got {got}$"):
+        with pytest.raises(TypeError, match=f"^{sample.__name__} takes {kind}, got {got}$"):
             sample(wrong, 10, SEED)
 
     @pytest.mark.parametrize("wrong", [MODEL, pr_box().p, None], ids=["model", "array", "none"])
@@ -778,9 +788,9 @@ class TestSamplersTakeTheirOwnKind:
     @pytest.mark.parametrize("wrong", [pr_box(), MODEL, None], ids=["box", "model", "none"])
     def test_empirical_readers_take_a_table(self, wrong):
         got = type(wrong).__name__
-        with pytest.raises(TypeError, match=f"^empirical_chsh takes a EmpiricalTable, got {got}$"):
+        with pytest.raises(TypeError, match=f"^empirical_chsh takes an EmpiricalTable, got {got}$"):
             empirical_chsh(wrong)
         # the empirical table is checked first, whatever the exact table is
         for exact in pr_box(), self.MODEL:
-            with pytest.raises(TypeError, match=f"^compare takes a EmpiricalTable, got {got}$"):
+            with pytest.raises(TypeError, match=f"^compare takes an EmpiricalTable, got {got}$"):
                 compare(wrong, exact)
