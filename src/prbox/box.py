@@ -111,7 +111,9 @@ def _check_count(values: object, name: str, least: int = 1) -> np.ndarray:
                 cast = raw.astype(np.int64)
     except OverflowError:
         raise ValueError(f"{name} must be int64 integers, got {values!r}") from None
-    for bad, rule in (cast != raw, "integers"), (cast < least, f">= {least}"):
+    # an unsigned entry the cast changes is above the int64 range, not fractional
+    changed = "int64 integers" if raw.dtype.kind == "u" else "integers"
+    for bad, rule in (cast != raw, changed), (cast < least, f">= {least}"):
         if np.count_nonzero(bad):  # about a third of np.any's cost on a scalar's 0-d result
             raise ValueError(f"{name} must be {rule}, got {raw[bad].tolist()[0]!r}")
     return cast

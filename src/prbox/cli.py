@@ -6,8 +6,8 @@ subcommand's handler on the parsed box or model, emit.  Output is JSON
 except where the data is tabular: table1 writes CSV unless ``--format json``,
 sample counts are JSON unless ``--format csv``, and sample records are CSV
 only, so only table1 and sample take ``--format``.
-Exit codes: 0 success, 2 box-spec grammar error or unknown constructor
-(argparse usage errors also exit 2), 3 semantic validation failure,
+Exit codes: 0 success, 2 box-spec grammar error, unknown constructor or
+flag conflict (argparse usage errors also exit 2), 3 semantic validation failure,
 including any NaN or infinite number and an ``--eps`` that is not positive
 and finite, 4 file I/O failure.
 
@@ -60,11 +60,12 @@ from .quantum import MeasurementAngles, singlet_box
 
 
 class BoxSpecError(ValueError):
-    """Box-spec grammar error; carries its reason and the offending position,
-    counted from the start of the whole spec, mix components included."""
+    """An exit-2 error.  A box-spec grammar error carries its reason and the
+    offending position, counted from the start of the whole spec, mix
+    components included; a conflict between flags has no position."""
 
-    def __init__(self, reason: str, position: int = 0):
-        super().__init__(f"{reason} (at position {position})")
+    def __init__(self, reason: str, position: int | None = None):
+        super().__init__(reason if position is None else f"{reason} (at position {position})")
         self.reason = reason
         self.position = position
 

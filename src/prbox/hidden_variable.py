@@ -21,7 +21,8 @@ from typing import Callable
 import numpy as np
 
 from .box import (
-    _CELL_TABLES, DEFAULT_EPS, BoxTable, _check_bit, _check_eps, _check_weights, _off_support
+    _CELL_TABLES, DEFAULT_EPS, BoxTable, _check_bit, _check_eps, _check_type, _check_weights,
+    _off_support,
 )
 from .chsh import _chsh_s
 from .locality import Verdict, _verdicts
@@ -108,14 +109,15 @@ def pr_hv_model(dist: LambdaDist) -> HVModel:
 
 def truth_table(m: HVModel) -> list[tuple[int, int, int, int, int]]:
     """All 8 rows (x, y, lambda, a, b) in the canonical row order."""
-    a, b = m.responses.tolist()
+    a, b = _check_type(m, HVModel, "truth_table").responses.tolist()
     return [(x, y, lam, a[x][y][lam], b[x][y][lam]) for x, y, lam in TRUTH_TABLE_ORDER]
 
 
 def truth_table_csv(m: HVModel) -> str:
     """CSV emission of the truth table; byte-stable for golden tests."""
     lines = ["x,y,lambda,a,b"]
-    lines += [",".join(str(v) for v in row) for row in truth_table(m)]
+    rows = truth_table(_check_type(m, HVModel, "truth_table_csv"))
+    lines += [",".join(str(v) for v in row) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -130,7 +132,8 @@ def _completion(obj: BoxTable | HVModel) -> tuple[np.ndarray, np.ndarray]:
 
 def hv_to_box(m: HVModel) -> BoxTable:
     """Marginalize the hidden variable into an observable box table."""
-    return BoxTable(np.einsum("l,l...->...", *_completion(m)), m.label or "hv")
+    weights, boxes = _completion(_check_type(m, HVModel, "hv_to_box"))
+    return BoxTable(np.einsum("l,l...->...", weights, boxes), m.label or "hv")
 
 
 @dataclass(frozen=True)
@@ -146,7 +149,8 @@ def hv_dependence(m: HVModel) -> HVDependence:
     whatever its weight: the sides ("A", "B") of the witnesses of no-signaling
     and of outcome independence on the lambda-boxes.  The outcome flags come
     out False for every deterministic model, whose lambda-boxes are one-hot."""
-    verdicts = _verdicts(_completion(m)[1], DEFAULT_EPS, checks=3)  # per lambda: ns, cd, oi
+    boxes = _completion(_check_type(m, HVModel, "hv_dependence"))[1]
+    verdicts = _verdicts(boxes, DEFAULT_EPS, checks=3)  # per lambda: ns, cd, oi
     ns, oi = ({w.side for v in verdicts[i::3] for w in v.witnesses} for i in (0, 2))
     return HVDependence("A" in ns, "B" in ns, "A" in oi, "B" in oi)
 

@@ -21,6 +21,7 @@ from prbox import (
     pr_box,
     pr_constraint_holds,
     pr_hv_model,
+    sample_box,
     sample_hv,
     sample_hv_records,
     truth_table,
@@ -232,6 +233,19 @@ class TestTruthTable:
         csv = truth_table_csv(pr_hv_model(LambdaDist.from_p0(0.5)))
         assert csv == GOLDEN_CSV
         assert csv.encode() == GOLDEN_CSV.encode()
+
+
+class TestModelReadersTakeAModel:
+    """A model reader refuses a box or a sampled table instead of reading it."""
+
+    @pytest.mark.parametrize("read", [hv_to_box, hv_dependence, truth_table, truth_table_csv],
+                             ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("wrong", [pr_box(), sample_box(pr_box(), 4, 1)],
+                             ids=["box", "empirical"])
+    def test_wrong_kind_rejected(self, read, wrong):
+        got = type(wrong).__name__
+        with pytest.raises(TypeError, match=f"^{read.__name__} takes an HVModel, got {got}$"):
+            read(wrong)
 
 
 class TestHvToBox:

@@ -4,8 +4,6 @@ import hashlib
 import json
 import math
 import pickle
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -611,8 +609,7 @@ class TestGoldenReportDigests:
         )
 
 
-# Violated verdicts from every producer, each call a fresh one whose witnesses
-# have not been read.
+# Violated verdicts from every producer, each call a fresh one.
 VIOLATED = {
     "report-oi": lambda: locality_report(pr_box()).outcome_independence,
     "report-bf": lambda: locality_report(pr_box()).bell_factorizable,
@@ -636,15 +633,14 @@ def eager(verdict):
 
 @pytest.mark.parametrize("make", VIOLATED.values(), ids=VIOLATED.keys())
 class TestLazyWitnesses:
-    """A violated verdict builds its witnesses when they are first read and
-    behaves in every way like one built with them."""
+    """A violated verdict from the analyses holds its witnesses from the start
+    and behaves in every way like one built with them by the public constructor."""
 
-    def test_built_on_first_read_then_kept(self, make):
+    def test_fields_are_its_whole_state(self, make):
         verdict = make()
-        assert "witnesses" not in vars(verdict)
-        witnesses = verdict.witnesses
-        assert type(witnesses) is tuple and witnesses
-        assert verdict.witnesses is witnesses
+        assert set(vars(verdict)) == {"holds", "witnesses"}
+        assert type(verdict.witnesses) is tuple and verdict.witnesses
+        assert all(type(w) is Witness for w in verdict.witnesses)
 
     def test_equal_and_same_hash_as_eager(self, make):
         twin = eager(make())
@@ -680,27 +676,3 @@ class TestLazyWitnesses:
         verdict.witnesses
         assert json.dumps(verdict.as_dict()) == before == json.dumps(eager(verdict).as_dict())
         assert verdict.as_dict()["witnesses"] == [w.as_row() for w in verdict.witnesses]
-
-
-def test_racing_first_reads_share_one_tuple():
-    """Threads reading a fresh verdict's witnesses at once all get one tuple."""
-    switch = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(50):
-            verdict, seen = locality_report(pr_box()).outcome_independence, []
-            barrier = threading.Barrier(8)
-
-            def read(verdict=verdict, seen=seen, barrier=barrier):
-                barrier.wait(timeout=10)
-                seen.append(verdict.witnesses)
-
-            threads = [threading.Thread(target=read) for _ in range(8)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=10)
-            assert not any(t.is_alive() for t in threads)
-            assert len(seen) == 8 and all(w is verdict.witnesses for w in seen)
-    finally:
-        sys.setswitchinterval(switch)

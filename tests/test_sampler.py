@@ -199,10 +199,13 @@ class TestTableValidation:
         assert table.counts.dtype == np.int64
         assert table.trials_per_setting.tolist() == [[4, 4], [4, 4]]
 
-    def test_out_of_range_python_ints_rejected(self):
+    @pytest.mark.parametrize("value", [2**70, 2**63, np.uint64(2**64 - 1)], ids=repr)
+    def test_out_of_range_python_ints_rejected(self, value):
         counts = np.zeros((2, 2, 2, 2), dtype=np.int64)
+        trials = np.zeros((2, 2), dtype=np.asarray(value).dtype)  # object for 2**70, else uint64
+        trials[0, 0] = value
         with pytest.raises(ValueError, match="trials must be int64 integers"):
-            EmpiricalTable(counts, [[2**70, 0], [0, 0]], seed=0)
+            EmpiricalTable(counts, trials, seed=0)
 
     @pytest.mark.parametrize("seed", [True, np.True_, 1.5, "x", None])
     def test_seed_must_be_an_integer(self, seed):
@@ -252,6 +255,12 @@ class TestTrialCounts:
     @pytest.mark.parametrize("sample, obj", SAMPLERS, ids=SAMPLER_IDS)
     def test_non_integral_rejected(self, sample, obj, trials):
         with pytest.raises(ValueError, match="trials_per_setting must be"):
+            sample(obj, trials, SEED)
+
+    @pytest.mark.parametrize("trials", [2**70, 2**63, np.uint64(2**64 - 1)], ids=repr)
+    @pytest.mark.parametrize("sample, obj", SAMPLERS, ids=SAMPLER_IDS)
+    def test_beyond_int64_names_the_range(self, sample, obj, trials):
+        with pytest.raises(ValueError, match="trials_per_setting must be int64 integers"):
             sample(obj, trials, SEED)
 
     @pytest.mark.parametrize(
