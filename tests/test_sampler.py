@@ -199,8 +199,13 @@ class TestTableValidation:
         assert table.counts.dtype == np.int64
         assert table.trials_per_setting.tolist() == [[4, 4], [4, 4]]
 
+    def test_out_of_range_python_ints_rejected(self):
+        counts = np.zeros((2, 2, 2, 2), dtype=np.int64)
+        with pytest.raises(ValueError, match="trials must be int64 integers"):
+            EmpiricalTable(counts, [[2**70, 0], [0, 0]], seed=0)
+
     @pytest.mark.parametrize("value", [2**70, 2**63, np.uint64(2**64 - 1)], ids=repr)
-    def test_out_of_range_python_ints_rejected(self, value):
+    def test_out_of_range_typed_arrays_rejected(self, value):
         counts = np.zeros((2, 2, 2, 2), dtype=np.int64)
         trials = np.zeros((2, 2), dtype=np.asarray(value).dtype)  # object for 2**70, else uint64
         trials[0, 0] = value
