@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -111,11 +112,16 @@ def _check_count(values: object, name: str, least: int = 1) -> np.ndarray:
                 cast = raw.astype(np.int64)
     except OverflowError:
         raise ValueError(f"{name} must be int64 integers, got {values!r}") from None
-    # an unsigned entry the cast changes is above the int64 range, not fractional
-    changed = "int64 integers" if raw.dtype.kind == "u" else "integers"
-    for bad, rule in (cast != raw, changed), (cast < least, f">= {least}"):
+    for bad, rule in (cast != raw, "integers"), (cast < least, f">= {least}"):
         if np.count_nonzero(bad):  # about a third of np.any's cost on a scalar's 0-d result
-            raise ValueError(f"{name} must be {rule}, got {raw[bad].tolist()[0]!r}")
+            # the entry as given: a list that mixes ints above the int64 range
+            # with small ones is float64 in raw, which rounds them
+            first = np.asarray(values, dtype=object)[bad][0]
+            if isinstance(first, np.generic):
+                first = first.item()
+            if rule == "integers" and isinstance(first, numbers.Integral):
+                rule = "int64 integers"  # an integer the cast changes is out of range
+            raise ValueError(f"{name} must be {rule}, got {first!r}")
     return cast
 
 

@@ -23,7 +23,14 @@ from prbox import (
 )
 from prbox import quantum
 from prbox.chsh import _chsh_s
-from prbox.quantum import _SEARCH_BLOCK, _abs_chsh, _singlet_pq
+from prbox.quantum import (
+    _MARGIN,
+    _SEARCH_BLOCK,
+    _abs_chsh,
+    _block_best,
+    _estimate,
+    _singlet_pq,
+)
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
 
@@ -307,7 +314,9 @@ class TestTsirelson:
         assert peak < 8 * 2**20
 
     def test_search_keeps_the_first_of_tied_maxima(self, monkeypatch):
-        # every row ties at |s| = 1, so the first sampled row must win
+        # every row ties at |s| = 1 in the screen and in the exact kernel, so the
+        # first sampled row must win
+        monkeypatch.setattr(quantum, "_estimate", lambda rows: np.ones(len(rows), np.float32))
         monkeypatch.setattr(quantum, "_abs_chsh", lambda rows: np.ones(len(rows)))
         n_points = 2 * _SEARCH_BLOCK + 3
         first = np.random.default_rng(4).uniform(0.0, 2.0 * math.pi, size=(n_points, 4))[0]
@@ -316,6 +325,65 @@ class TestTsirelson:
     def test_search_requires_points(self):
         with pytest.raises(ValueError):
             max_chsh_over_random_angles(0, seed=1)
+
+    @given(n_points=st.integers(1, 2 * _SEARCH_BLOCK + 1), seed=st.integers(0, 2**64 - 1))
+    @settings(max_examples=15, deadline=None)
+    def test_search_equals_the_per_point_loop_on_drawn_cases(self, n_points, seed):
+        assert repr(max_chsh_over_random_angles(n_points, seed)) == repr(
+            reference_search(n_points, seed)
+        )
+
+
+def optimal_row():
+    """OPTIMAL_CHSH_ANGLES in the search's draw range [0, 2 pi)."""
+    return np.array(list(vars(OPTIMAL_CHSH_ANGLES).values())) % (2 * math.pi)
+
+
+def assert_first_exact_maximum(block, index):
+    """_block_best picks the first row of the block's largest exact |s|, as
+    scoring every row would, and that row is ``index``."""
+    exact = _abs_chsh(block)
+    assert int(np.argmax(exact)) == index
+    s, k = _block_best(block)
+    assert (s.hex(), k) == (exact[index].hex(), index)
+
+
+class TestSearchScreen:
+    """The float32 screen keeps every row that could be its block's best."""
+
+    def test_estimate_error_is_far_below_the_margin(self):
+        rng = np.random.default_rng(29)
+        worst, rows_seen = 0.0, 0
+        for _ in range(80):
+            for size in (1, 2, 3, 7, 1000, _SEARCH_BLOCK):
+                rows = rng.uniform(0.0, 2.0 * math.pi, size=(size, 4))
+                est = _estimate(rows)
+                assert est.dtype == np.float32
+                worst = max(worst, float(np.max(np.abs(est - _abs_chsh(rows)))))
+                rows_seen += size
+        assert rows_seen >= 4 * 10**5
+        assert worst <= _MARGIN / 100
+
+    def test_duplicate_maxima_keep_the_first(self):
+        block = np.random.default_rng(31).uniform(0.0, 2.0 * math.pi, size=(_SEARCH_BLOCK, 4))
+        block[0] = block[-1] = optimal_row()
+        assert_first_exact_maximum(block, 0)
+
+    def test_one_ulp_beats_a_larger_estimate(self):
+        # a common shift of all four angles keeps s in real arithmetic, but moves
+        # the exact |s| by a few ulp and the estimate by float32 roundings
+        shifted = optimal_row() + np.linspace(0.0, 0.5, 200)[:, None]
+        exact, est = _abs_chsh(shifted), _estimate(shifted)
+        hi = int(np.argmax(exact))
+        below = (exact == np.nextafter(exact[hi], 0.0)) & (est > est[hi])
+        assert np.count_nonzero(below)
+        lo = int(np.argmax(below))
+        # in a block of random rows, the row the screen ranks higher comes first
+        block = np.random.default_rng(37).uniform(0.0, 2.0 * math.pi, size=(1000, 4))
+        block[500], block[501] = shifted[lo], shifted[hi]
+        assert _estimate(block)[500] > _estimate(block)[501]
+        assert _abs_chsh(block)[501] == np.nextafter(_abs_chsh(block)[500], 3.0)
+        assert_first_exact_maximum(block, 501)
 
 
 class TestSearchInputs:

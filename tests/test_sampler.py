@@ -204,6 +204,21 @@ class TestTableValidation:
         with pytest.raises(ValueError, match="trials must be int64 integers"):
             EmpiricalTable(counts, [[2**70, 0], [0, 0]], seed=0)
 
+    @pytest.mark.parametrize(
+        "trials, rule, entry",
+        [
+            ([[2**63, 0], [0, 0]], "int64 integers", "9223372036854775808"),
+            ([[1.5, 0], [0, 0]], "integers", "1.5"),
+        ],
+        ids=["2**63", "1.5"],
+    )
+    def test_list_entries_are_named_as_given(self, trials, rule, entry):
+        # a list mixing 2**63 with small ints is a float64 array, which would call
+        # it non-integral and print it rounded
+        counts = np.zeros((2, 2, 2, 2), dtype=np.int64)
+        with pytest.raises(ValueError, match=f"^trials must be {rule}, got {entry}$"):
+            EmpiricalTable(counts, trials, seed=0)
+
     @pytest.mark.parametrize("value", [2**70, 2**63, np.uint64(2**64 - 1)], ids=repr)
     def test_out_of_range_typed_arrays_rejected(self, value):
         counts = np.zeros((2, 2, 2, 2), dtype=np.int64)
