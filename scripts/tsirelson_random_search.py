@@ -6,11 +6,10 @@ reports the best |s| found together with its gap to 2*sqrt(2).  The gap
 shrinks with the point count but never goes negative.  The search is
 block-batched: each block of a few thousand points is drawn and screened
 by a float32 estimate of |s|, and only the few rows that could be the
-block's best are scored exactly, from the two distinct outcome
-probabilities of each setting pair, E = 2(P - Q), with the bits the full
-singlet tables would give.  So ``--points 1000000`` runs in about 0.06 s
-(0.057-0.067 s in process on a 2-CPU x86_64 VM, against 0.21-0.30 s when
-every point was scored exactly) in bounded memory.
+block's best get singlet tables, scored by the evaluator ``chsh_value``
+uses, so the recheck line below prints the best value again, up to its
+sign.  So ``--points 1000000`` runs in 0.032-0.034 s in process on a
+2-CPU x86_64 VM (Python 3.11.7, numpy 2.4.6), in bounded memory.
 """
 
 from __future__ import annotations

@@ -99,8 +99,9 @@ def _check_type(value: object, kind: type, caller: str) -> object:
 
 def _check_count(values: object, name: str, least: int = 1) -> np.ndarray:
     """An int64 copy of ``values``; ValueError at bools or complex numbers (True
-    would pass as 1, 3+0j as 3), at the first entry the cast would change (a
-    fraction, NaN, inf or a value out of range) and at an entry below ``least``."""
+    would pass as 1, 3+0j as 3), at values the cast refuses ("abc", None), at
+    the first entry the cast would change (a fraction, NaN, inf or a value out
+    of range) and at an entry below ``least``."""
     raw = np.asarray(values)
     if raw.dtype.kind in "bc":
         raise ValueError(f"{name} must be integers, got {values!r}")
@@ -112,6 +113,8 @@ def _check_count(values: object, name: str, least: int = 1) -> np.ndarray:
                 cast = raw.astype(np.int64)
     except OverflowError:
         raise ValueError(f"{name} must be int64 integers, got {values!r}") from None
+    except (TypeError, ValueError):  # a string int() cannot parse, None, an object
+        raise ValueError(f"{name} must be integers, got {values!r}") from None
     for bad, rule in (cast != raw, "integers"), (cast < least, f">= {least}"):
         if np.count_nonzero(bad):  # about a third of np.any's cost on a scalar's 0-d result
             # the entry as given: a list that mixes ints above the int64 range
@@ -245,6 +248,7 @@ def validate(t: BoxTable, eps: float = DEFAULT_EPS) -> ValidationResult:
     come in (x, y, a, b) order, normalization first.  Entries are finite
     already, since :class:`BoxTable` refuses any other.
     """
+    _check_type(t, BoxTable, "validate")
     eps = _check_eps(eps)
     totals = t.p.sum(axis=(2, 3))
     if (np.abs(totals - 1.0) <= eps).all() and ((t.p >= -eps) & (t.p <= 1.0 + eps)).all():
@@ -342,7 +346,7 @@ def convex_mix(
     w = _check_weights(weights, "weights", eps)
     p = np.zeros((2, 2, 2, 2))
     for box, weight in zip(boxes, w):
-        p += weight * box.p
+        p += weight * _check_type(box, BoxTable, "convex_mix").p
     if label is None:
         label = "mix(" + "+".join(
             f"{box.label or 'box'}@{weight:g}" for box, weight in zip(boxes, w)

@@ -20,6 +20,7 @@ from .box import (
     BoxTable,
     _check_bit,
     _check_bits,
+    _check_type,
 )
 
 __all__ = [
@@ -81,7 +82,7 @@ def _chsh_s(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def chsh_value(t: BoxTable) -> ChshResult:
-    e, s = _chsh_s(t.p)
+    e, s = _chsh_s(_check_type(t, BoxTable, "chsh_value").p)
     return ChshResult(*e.ravel().tolist(), float(s))
 
 

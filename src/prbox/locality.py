@@ -45,7 +45,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .box import DEFAULT_EPS, BoxTable, _check_eps
+from .box import DEFAULT_EPS, BoxTable, _check_eps, _check_type
 
 __all__ = [
     "LocalityReport",
@@ -242,5 +242,6 @@ _REPORT_FIELDS = tuple(f.name for f in fields(LocalityReport))
 
 def locality_report(t: BoxTable, eps: float = DEFAULT_EPS) -> LocalityReport:
     """Run all five analyses on one table from one comparison of its 72 cells."""
-    ns, cd, oi, factorizable = _verdicts(t.p, _check_eps(eps))
+    p = _check_type(t, BoxTable, "locality_report").p
+    ns, cd, oi, factorizable = _verdicts(p, _check_eps(eps))
     return LocalityReport(ns, oi, ns, factorizable if ns.holds else ns, cd)

@@ -24,21 +24,20 @@ one at (1, 0) as minus the one at (0, 1).  cos and sin must run on
 contiguous arrays, as the contraction's do: numpy picks its vectorised
 loops by memory layout, and the bits are pinned for contiguous input only.
 
-:func:`_singlet_pq` evaluates P and Q for a block of angle rows, and
-:func:`singlet_box`, the one table builder, fills its 16 cells from one
-row's.  The random search builds no table: ``chsh``'s einsum adds
-E(x, y) = P - Q - Q + P pairwise, as (P - Q) + (-Q + P), which is 2(P - Q)
-exactly, so the search reads its CHSH values from P and Q directly
-(:func:`_abs_chsh`), with the same bits.
+:func:`_singlet_tables` evaluates P and Q for a block of angle rows and
+fills each row's 16 cells from them.  :func:`singlet_box` reads its one row,
+and the random search scores its candidate rows with ``chsh``'s evaluator on
+their tables, so the search's value is, by construction, the
+``chsh_value(singlet_box(angles))`` of the angles it returns.
 
 The search scores a block in two stages.  A float32 screen
 (:func:`_estimate`) reads |s| from E(x, y) = -cos(theta_Ax - theta_By),
-which 2(P - Q) equals in real arithmetic since r^2 = 1/2; numpy runs float32
+the singlet's correlation in real arithmetic; numpy runs float32
 cos in SIMD loops, several times faster than the float64 cos and sin of the
 half angles.  Its error on the search's draw range is far below
 ``_MARGIN``, so every row whose exact |s| is the block's maximum lies
-within ``_MARGIN`` of the largest estimate, and the exact kernel scores only
-the rows that do (about one per block).
+within ``_MARGIN`` of the largest estimate, and only the rows that do (about
+one per block) are scored exactly.
 """
 
 from __future__ import annotations
@@ -49,6 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .box import BoxTable, _check_count, _check_seed
+from .chsh import _chsh_s
 
 __all__ = [
     "OPTIMAL_CHSH_ANGLES",
@@ -121,17 +121,14 @@ _SEARCH_BLOCK = 4096
 # block's largest estimate: over 100 times the estimate's error bound.
 _MARGIN = 1e-3
 
-# Table cell (x, y, a, b) is P = pq[0, x, y] where a == b and Q = pq[1, x, y]
-# where a != b.
+# Cell (x, y, a, b) of a table is entry 4 (a ^ b) + 2 x + y of its row's P and Q.
 _CELLS = np.array([4 * (a ^ b) + 2 * x + y for x, y, a, b in np.ndindex(2, 2, 2, 2)])
 
 
-def _singlet_pq(rows: np.ndarray) -> np.ndarray:
-    """P and Q ``(2, 2, 2, rows)`` of angle rows ``(rows, 4)`` (a0, a1, b0,
-    b1): P = pq[0] is p(x, y, 0, 0) and Q = pq[1] is p(x, y, 0, 1), each
-    indexed ``[x, y, row]``.
-
-    P = (C_x s_y - S_x c_y)^2 and Q = (C_x c_y + S_x s_y)^2, with C, S =
+def _singlet_tables(rows: np.ndarray) -> np.ndarray:
+    """C-contiguous tables ``(rows, 2, 2, 2, 2)`` of angle rows ``(rows, 4)``
+    (a0, a1, b0, b1): cell (x, y, a, b) is P = (C_x s_y - S_x c_y)^2 where a == b and
+    Q = (C_x c_y + S_x s_y)^2 where a != b, with C, S =
     fl(cos, sin(theta_Ax / 2) r) and c, s = cos, sin(theta_By / 2).
     """
     half = np.divide(rows.T, 2.0, order="C")
@@ -145,23 +142,7 @@ def _singlet_pq(rows: np.ndarray) -> np.ndarray:
     t[0, 1] += t[1, 0]  # C c + S s, squared to Q
     pq = t[0]
     pq **= 2
-    return pq
-
-
-def _abs_chsh(rows: np.ndarray) -> np.ndarray:
-    """|s| of each angle row ``(rows, 4)``, with the bits that
-    :func:`singlet_box` and ``chsh_value`` give the row, but no table.
-
-    E = 2(P - Q) is the einsum's pairwise sum (P - Q) + (-Q + P), and s adds
-    the four E in ``_chsh_s``'s order.
-    """
-    p, q = _singlet_pq(rows)
-    e = p - q
-    e *= 2.0
-    s = e[0, 0] + e[0, 1]
-    s += e[1, 0]
-    s -= e[1, 1]
-    return np.abs(s, out=s)
+    return pq.reshape(8, len(rows)).T.take(_CELLS, axis=1).reshape(-1, 2, 2, 2, 2)
 
 
 def _estimate(rows: np.ndarray) -> np.ndarray:
@@ -187,8 +168,7 @@ def singlet_box(angles: MeasurementAngles) -> BoxTable:
     """Joint outcome table of planar spin measurements on the singlet."""
     theta = (angles.theta_a0, angles.theta_a1, angles.theta_b0, angles.theta_b1)
     label = "singlet:" + ",".join(f"{t:g}" for t in theta)
-    table = _singlet_pq(np.array([theta], dtype=float)).take(_CELLS).reshape(2, 2, 2, 2)
-    return BoxTable(table, label)
+    return BoxTable(_singlet_tables(np.array([theta], dtype=float))[0], label)
 
 
 def _block_best(rows: np.ndarray) -> tuple[float, int]:
@@ -196,7 +176,7 @@ def _block_best(rows: np.ndarray) -> tuple[float, int]:
     first row that attains it; only the rows the screen keeps are scored."""
     est = _estimate(rows)
     cand = np.flatnonzero(est >= est.max() - _MARGIN)
-    s = _abs_chsh(rows[cand])
+    s = np.abs(_chsh_s(_singlet_tables(rows[cand]))[1])
     k = int(np.argmax(s))
     return s[k], int(cand[k])
 
@@ -212,13 +192,13 @@ def max_chsh_over_random_angles(
     stream is the one a single draw of all ``n_points`` rows gives.
 
     Each block is screened before it is scored.  :func:`_estimate` gives
-    every row's |s| within delta of the exact kernel's (:func:`_abs_chsh`),
-    with delta about 6e-6 on the draw range [0, 2 pi).
+    every row's |s| within delta of the exact |s| of its table, with delta
+    about 6e-6 on the draw range [0, 2 pi).
     If a row's exact |s| is the block's maximum m, no estimate exceeds
     m + delta and the row's own is at least m - delta, so it lies within
     2 delta < ``_MARGIN`` of the largest estimate.  Every row of exact
-    |s| = m is therefore a candidate, and the exact kernel scores only the
-    candidates, in row order, so the first of them at m is the block's
+    |s| = m is therefore a candidate, and only the candidates are scored
+    exactly, in row order, so the first of them at m is the block's
     answer, as it would be if every row were scored.
     The estimate is valid only on the search's own draw range.
 

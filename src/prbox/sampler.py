@@ -153,11 +153,11 @@ def _draw(obj: BoxTable | HVModel, trials: int, seed: int) -> Iterator[tuple]:
     n = len(weights)
     cdf = np.minimum(np.cumsum(np.maximum(boxes.reshape(n, 4, 4), 0.0), axis=2), 1.0)
     cdf[:, :, 3] = 1.0  # each lambda's last cell ends where the lambda does
-    lo, hi = 0, _ONE  # each lambda's thresholds [lo, hi); a box's one lambda has them all
-    if n > 1:  # cumulative weights clipped to [0, 1], the last lambda ending at 1
-        cum = (math.ceil(min(max(c, 0.0), 1.0) * _ONE) for c in accumulate(weights.tolist()[:-1]))
-        hi = [*accumulate(cum, max), _ONE]
-        lo, hi = np.array([[0, *hi[:-1]], hi], dtype=float)[:, :, None, None]
+    # each lambda's thresholds [lo, hi) from its cumulative weight clipped to [0, 1], the
+    # last lambda ending at 1; a box's one lambda has them all
+    cum = (math.ceil(min(max(c, 0.0), 1.0) * _ONE) for c in accumulate(weights.tolist()[:-1]))
+    hi = [*accumulate(cum, max), _ONE]
+    lo, hi = np.array([[0, *hi[:-1]], hi], dtype=float)[:, :, None, None]
     # per pair, the (lambda, a, b) boundaries; the last is 1, above every u, so it is left out
     ks = (lo + np.ceil((hi - lo) * cdf)).transpose(1, 0, 2).reshape(4, 4 * n)[:, :-1]
     ks, shared = ks.astype(np.uint64), (_RECORDS[:, :4] if n == 1 else _RECORDS[:, 4:])

@@ -13,10 +13,12 @@ from prbox import (
     LambdaDist,
     SweepPoint,
     chsh_value,
+    convex_mix,
     correlation,
     hv_dependence,
     hv_to_box,
     lambda_sweep,
+    locality_report,
     no_signaling,
     pr_box,
     pr_constraint_holds,
@@ -246,6 +248,24 @@ class TestModelReadersTakeAModel:
         got = type(wrong).__name__
         with pytest.raises(TypeError, match=f"^{read.__name__} takes an HVModel, got {got}$"):
             read(wrong)
+
+
+class TestBoxReadersTakeABox:
+    """A box reader refuses a model, the mirror of hv_to_box refusing a box."""
+
+    READERS = {
+        "locality_report": locality_report,
+        "chsh_value": chsh_value,
+        "validate": validate,
+        # a model among the components is refused, not only the first
+        "convex_mix": lambda m: convex_mix([pr_box(), m], [0.5, 0.5]),
+    }
+
+    @pytest.mark.parametrize("name", READERS)
+    def test_model_rejected(self, name):
+        model = pr_hv_model(LambdaDist.from_p0(0.5))
+        with pytest.raises(TypeError, match=f"^{name} takes a BoxTable, got HVModel$"):
+            self.READERS[name](model)
 
 
 class TestHvToBox:

@@ -26,10 +26,9 @@ from prbox.chsh import _chsh_s
 from prbox.quantum import (
     _MARGIN,
     _SEARCH_BLOCK,
-    _abs_chsh,
     _block_best,
     _estimate,
-    _singlet_pq,
+    _singlet_tables,
 )
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
@@ -61,7 +60,7 @@ def oracle_projector_table(angles):
 
 def einsum_reference_tables(theta):
     """The generic complex three-operand contraction over the singlet's 2x2
-    amplitudes, which P, Q and the tables must equal bit for bit."""
+    amplitudes, which the tables must equal bit for bit."""
     half = np.asarray(theta, dtype=float) / 2.0
     c, s = np.cos(half), np.sin(half)
     v = np.stack([c, s, -s, c], axis=-1).reshape(*half.shape, 2, 2)
@@ -71,16 +70,12 @@ def einsum_reference_tables(theta):
 
 
 def assert_same_bits_as_einsum(rows):
-    """P of angle rows ``(rows, 4)`` has the bytes of the einsum's cells
-    (0, 0) and (1, 1), and Q those of its cells (0, 1) and (1, 0)."""
-    pq = _singlet_pq(rows)
-    assert pq.shape == (2, 2, 2, len(rows))
-    p, q = np.moveaxis(pq, -1, 1)  # [row, x, y]
-    reference = einsum_reference_tables(rows)
-    for cell in reference[..., 0, 0], reference[..., 1, 1]:
-        assert p.tobytes() == cell.tobytes()
-    for cell in reference[..., 0, 1], reference[..., 1, 0]:
-        assert q.tobytes() == cell.tobytes()
+    """The tables of angle rows ``(rows, 4)`` are C-contiguous and have the
+    bytes of the einsum's."""
+    tables = _singlet_tables(rows)
+    assert tables.shape == (len(rows), 2, 2, 2, 2)
+    assert tables.flags.c_contiguous
+    assert tables.tobytes() == einsum_reference_tables(rows).tobytes()
 
 
 def assert_box_same_bits_as_einsum(row):
@@ -88,6 +83,11 @@ def assert_box_same_bits_as_einsum(row):
     table = singlet_box(MeasurementAngles(*np.asarray(row).tolist())).p
     assert table.flags.c_contiguous
     assert table.tobytes() == einsum_reference_tables(row).tobytes()
+
+
+def exact_abs_s(rows):
+    """|s| of the table of each angle row ``(rows, 4)``, as the search scores it."""
+    return np.abs(_chsh_s(_singlet_tables(rows))[1])
 
 
 def reference_search(n_points, seed):
@@ -182,16 +182,14 @@ class TestSingletBox:
     @given(st.lists(st.tuples(angle, angle, angle, angle), min_size=1, max_size=40))
     @settings(max_examples=60, deadline=None)
     def test_stacked_tables_equal_singlet_box_row_by_row(self, rows):
-        p, q = _singlet_pq(np.array(rows))
-        for k, row in enumerate(rows):
-            table = singlet_box(MeasurementAngles(*row)).p
-            for a, b in np.ndindex(2, 2):
-                assert np.array_equal(table[:, :, a, b], (p, q)[a ^ b][..., k])
+        tables = _singlet_tables(np.array(rows))
+        for table, row in zip(tables, rows):
+            assert singlet_box(MeasurementAngles(*row)).p.tobytes() == table.tobytes()
 
 
 class TestTablesEqualTheEinsum:
-    """P and Q of every row, and the C-contiguous tables singlet_box fills
-    from them, are the complex contraction's bit for bit."""
+    """The tables of every stack of rows, and the one singlet_box builds
+    from a row, are the complex contraction's bit for bit."""
 
     @given(st.lists(st.tuples(any_angle, any_angle, any_angle, any_angle), min_size=1, max_size=40))
     @settings(max_examples=80, deadline=None)
@@ -235,33 +233,26 @@ class TestTablesEqualTheEinsum:
 
 
 def random_blocks():
-    """Angle blocks of several sizes at the search's scale, at 1e3 and over
-    every magnitude from 1e-300 to 1e300."""
+    """Angle blocks of several sizes in the search's draw range [0, 2 pi)."""
     rng = np.random.default_rng(23)
-    for size in (1, 2, 3, 7, 1000, _SEARCH_BLOCK):
-        yield rng.uniform(0.0, 2.0 * math.pi, size=(size, 4))
-        yield rng.uniform(-1e3, 1e3, size=(size, 4))
-        yield rng.choice([-1.0, 1.0], size=(size, 4)) * 10.0 ** rng.uniform(-300, 300, (size, 4))
+    for _ in range(5):
+        for size in (1, 2, 3, 7, 1000, _SEARCH_BLOCK):
+            yield rng.uniform(0.0, 2.0 * math.pi, size=(size, 4))
 
 
 class TestSearchArithmetic:
-    """The search reads E = 2(P - Q) in place of ``_chsh_s``'s einsum over
-    the reference tables; both must give the same bits."""
-
-    def test_correlations_are_twice_p_minus_q(self):
-        # fails on a numpy whose einsum adds the four outcome terms in sequence
-        for rows in random_blocks():
-            p, q = _singlet_pq(rows)
-            e, _ = _chsh_s(einsum_reference_tables(rows))
-            assert e.tobytes() == (2.0 * (p - q)).tobytes()
+    """The search scores its candidates with ``_chsh_s`` on their tables, so
+    a block's value is the first maximum of the einsum reference tables."""
 
     def test_search_values_equal_the_table_route(self):
         for rows in random_blocks():
             # _chsh_s sums in a layout-dependent order, so pin the layout
             tables = einsum_reference_tables(rows)
             assert tables.flags.c_contiguous
-            expected = np.abs(_chsh_s(tables)[1])
-            assert _abs_chsh(rows).tobytes() == expected.tobytes()
+            exact = np.abs(_chsh_s(tables)[1])
+            k = int(np.argmax(exact))
+            s, index = _block_best(rows)
+            assert (s.hex(), index) == (exact[k].hex(), k)
 
 
 class TestTsirelson:
@@ -314,13 +305,17 @@ class TestTsirelson:
         assert peak < 8 * 2**20
 
     def test_search_keeps_the_first_of_tied_maxima(self, monkeypatch):
-        # every row ties at |s| = 1 in the screen and in the exact kernel, so the
-        # first sampled row must win
+        # every row ties in the screen, and its table is the PR box's, of |s| = 4,
+        # so the first sampled row must win
         monkeypatch.setattr(quantum, "_estimate", lambda rows: np.ones(len(rows), np.float32))
-        monkeypatch.setattr(quantum, "_abs_chsh", lambda rows: np.ones(len(rows)))
+        monkeypatch.setattr(
+            quantum,
+            "_singlet_tables",
+            lambda rows: np.broadcast_to(pr_box().p, (len(rows), 2, 2, 2, 2)),
+        )
         n_points = 2 * _SEARCH_BLOCK + 3
         first = np.random.default_rng(4).uniform(0.0, 2.0 * math.pi, size=(n_points, 4))[0]
-        assert max_chsh_over_random_angles(n_points, 4) == (1.0, MeasurementAngles(*first))
+        assert max_chsh_over_random_angles(n_points, 4) == (4.0, MeasurementAngles(*first))
 
     def test_search_requires_points(self):
         with pytest.raises(ValueError):
@@ -342,7 +337,7 @@ def optimal_row():
 def assert_first_exact_maximum(block, index):
     """_block_best picks the first row of the block's largest exact |s|, as
     scoring every row would, and that row is ``index``."""
-    exact = _abs_chsh(block)
+    exact = exact_abs_s(block)
     assert int(np.argmax(exact)) == index
     s, k = _block_best(block)
     assert (s.hex(), k) == (exact[index].hex(), index)
@@ -359,7 +354,7 @@ class TestSearchScreen:
                 rows = rng.uniform(0.0, 2.0 * math.pi, size=(size, 4))
                 est = _estimate(rows)
                 assert est.dtype == np.float32
-                worst = max(worst, float(np.max(np.abs(est - _abs_chsh(rows)))))
+                worst = max(worst, float(np.max(np.abs(est - exact_abs_s(rows)))))
                 rows_seen += size
         assert rows_seen >= 4 * 10**5
         assert worst <= _MARGIN / 100
@@ -373,7 +368,7 @@ class TestSearchScreen:
         # a common shift of all four angles keeps s in real arithmetic, but moves
         # the exact |s| by a few ulp and the estimate by float32 roundings
         shifted = optimal_row() + np.linspace(0.0, 0.5, 200)[:, None]
-        exact, est = _abs_chsh(shifted), _estimate(shifted)
+        exact, est = exact_abs_s(shifted), _estimate(shifted)
         hi = int(np.argmax(exact))
         below = (exact == np.nextafter(exact[hi], 0.0)) & (est > est[hi])
         assert np.count_nonzero(below)
@@ -382,7 +377,7 @@ class TestSearchScreen:
         block = np.random.default_rng(37).uniform(0.0, 2.0 * math.pi, size=(1000, 4))
         block[500], block[501] = shifted[lo], shifted[hi]
         assert _estimate(block)[500] > _estimate(block)[501]
-        assert _abs_chsh(block)[501] == np.nextafter(_abs_chsh(block)[500], 3.0)
+        assert exact_abs_s(block)[501] == np.nextafter(exact_abs_s(block)[500], 3.0)
         assert_first_exact_maximum(block, 501)
 
 
@@ -407,7 +402,9 @@ class TestSearchInputs:
         assert repr(max_chsh_over_random_angles(50, 0)) == repr(reference_search(50, 0))
 
     @pytest.mark.parametrize(
-        "n_points", [1.5, np.nan, np.inf, "3", True, np.True_, 3 + 0j, 2**70, 0, -1], ids=repr
+        "n_points",
+        [1.5, np.nan, np.inf, "3", "abc", None, True, np.True_, 3 + 0j, 2**70, 0, -1],
+        ids=repr,
     )
     def test_counts_follow_the_sampler_rule(self, n_points):
         with pytest.raises(ValueError) as search_error:
