@@ -127,10 +127,9 @@ _CELLS = np.array([4 * (a ^ b) + 2 * x + y for x, y, a, b in np.ndindex(2, 2, 2,
 
 def _singlet_tables(rows: np.ndarray) -> np.ndarray:
     """C-contiguous tables ``(rows, 2, 2, 2, 2)`` of angle rows ``(rows, 4)``
-    (a0, a1, b0, b1): cell (x, y, a, b) is P = (C_x s_y - S_x c_y)^2 where a == b and
-    Q = (C_x c_y + S_x s_y)^2 where a != b, with C, S =
-    fl(cos, sin(theta_Ax / 2) r) and c, s = cos, sin(theta_By / 2).
-    """
+    (a0, a1, b0, b1): cell (x, y, a, b) is P = (C_x s_y - S_x c_y)^2 where
+    a == b and Q = (C_x c_y + S_x s_y)^2 where a != b, with C, S =
+    fl(cos, sin(theta_Ax / 2) r) and c, s = cos, sin(theta_By / 2)."""
     half = np.divide(rows.T, 2.0, order="C")
     cs = np.empty((2, 4, len(rows)))  # [cos, sin][a0, a1, b0, b1][row]
     np.cos(half, out=cs[0])
