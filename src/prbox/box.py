@@ -361,12 +361,13 @@ def _swap(p: np.ndarray) -> np.ndarray:
 
 def marginal_a(t: BoxTable, x: int, y: int, a: int) -> float:
     """P(A=a | x, y), summing the joint table over b."""
-    return float(t.p[_check_bits(x=x, y=y, a=a)].sum())
+    return float(_check_type(t, BoxTable, "marginal_a").p[_check_bits(x=x, y=y, a=a)].sum())
 
 
 def marginal_b(t: BoxTable, x: int, y: int, b: int) -> float:
     """P(B=b | x, y): :func:`marginal_a` of the party-swapped table."""
-    return marginal_a(BoxTable(_swap(t.p)), *_check_bits(y=y, x=x, b=b))
+    p = _swap(_check_type(t, BoxTable, "marginal_b").p)
+    return marginal_a(BoxTable(p), *_check_bits(y=y, x=x, b=b))
 
 
 def conditional(
@@ -378,7 +379,7 @@ def conditional(
     probability at most ``eps``; conditioning on an impossible outcome is
     not an error because dependence analyses iterate over all cells.
     """
-    mb = marginal_b(t, x, y, b)
+    mb = marginal_b(_check_type(t, BoxTable, "conditional"), x, y, b)
     if mb <= _check_eps(eps):
         return None
     return t.prob(x, y, a, b) / mb
@@ -388,13 +389,14 @@ def conditional_b(
     t: BoxTable, x: int, y: int, a: int, b: int, eps: float = DEFAULT_EPS
 ) -> float | None:
     """P(B=b | x, y; A=a): :func:`conditional` of the party-swapped table."""
-    return conditional(BoxTable(_swap(t.p)), *_check_bits(y=y, x=x, b=b, a=a), eps)
+    p = _swap(_check_type(t, BoxTable, "conditional_b").p)
+    return conditional(BoxTable(p), *_check_bits(y=y, x=x, b=b, a=a), eps)
 
 
 def pr_constraint_holds(t: BoxTable, eps: float = DEFAULT_EPS) -> bool:
     """True iff every cell with probability above ``eps`` satisfies
     (a + b) mod 2 = x*y."""
-    return not _off_support(t.p, _check_eps(eps))
+    return not _off_support(_check_type(t, BoxTable, "pr_constraint_holds").p, _check_eps(eps))
 
 
 def _off_support(p: np.ndarray, eps: float) -> np.ndarray:
@@ -409,6 +411,7 @@ _JSON = _JSON.replace('"%s"', "%s")
 
 
 def to_json(t: BoxTable) -> str:
+    t = _check_type(t, BoxTable, "to_json")
     return _JSON % (json.dumps(t.label), *json.dumps(t.p.ravel().tolist())[1:-1].split(", "))
 
 

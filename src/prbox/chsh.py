@@ -67,8 +67,9 @@ class ChshResult:
 def correlation(t: BoxTable, x: int, y: int) -> float:
     """E(x, y): expectation of the product of signed outcomes, the same
     value :func:`chsh_value` reports for that setting pair."""
+    p = _check_type(t, BoxTable, "correlation").p
     x, y = _check_bits(x=x, y=y)
-    return float(_chsh_s(t.p)[0][x, y])
+    return float(_chsh_s(p)[0][x, y])
 
 
 def _chsh_s(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -181,7 +181,7 @@ def no_signaling(t: BoxTable, eps: float = DEFAULT_EPS) -> Verdict:
     A-side: P(A=a | x, y) equal for y=0 and y=1 at every (x, a).
     B-side: P(B=b | x, y) equal for x=0 and x=1 at every (y, b).
     """
-    return locality_report(t, eps).no_signaling
+    return _report(t, eps, "no_signaling").no_signaling
 
 
 def parameter_independence(t: BoxTable, eps: float = DEFAULT_EPS) -> Verdict:
@@ -190,7 +190,7 @@ def parameter_independence(t: BoxTable, eps: float = DEFAULT_EPS) -> Verdict:
     This is the same marginal condition as :func:`no_signaling`; the two
     operations return identical verdicts on every table.
     """
-    return locality_report(t, eps).parameter_independence
+    return _report(t, eps, "parameter_independence").parameter_independence
 
 
 def outcome_independence(t: BoxTable, eps: float = DEFAULT_EPS) -> Verdict:
@@ -199,7 +199,7 @@ def outcome_independence(t: BoxTable, eps: float = DEFAULT_EPS) -> Verdict:
     Cells whose conditioning outcome has zero probability are vacuous and
     skipped.
     """
-    return locality_report(t, eps).outcome_independence
+    return _report(t, eps, "outcome_independence").outcome_independence
 
 
 def bell_factorizable(t: BoxTable, eps: float = DEFAULT_EPS) -> Verdict:
@@ -210,7 +210,7 @@ def bell_factorizable(t: BoxTable, eps: float = DEFAULT_EPS) -> Verdict:
     Otherwise each cell is compared against marginal_a(x, 0, a) *
     marginal_b(0, y, b).
     """
-    return locality_report(t, eps).bell_factorizable
+    return _report(t, eps, "bell_factorizable").bell_factorizable
 
 
 def conditioned_dependence(t: BoxTable, eps: float = DEFAULT_EPS) -> Verdict:
@@ -222,7 +222,7 @@ def conditioned_dependence(t: BoxTable, eps: float = DEFAULT_EPS) -> Verdict:
     setting dependence that survives after conditioning on the remote
     outcome, which the plain marginal test cannot see.
     """
-    return locality_report(t, eps).conditioned_parameter_dependence
+    return _report(t, eps, "conditioned_dependence").conditioned_parameter_dependence
 
 
 @dataclass(frozen=True)
@@ -242,6 +242,10 @@ _REPORT_FIELDS = tuple(f.name for f in fields(LocalityReport))
 
 def locality_report(t: BoxTable, eps: float = DEFAULT_EPS) -> LocalityReport:
     """Run all five analyses on one table from one comparison of its 72 cells."""
-    p = _check_type(t, BoxTable, "locality_report").p
-    ns, cd, oi, factorizable = _verdicts(p, _check_eps(eps))
+    return _report(t, eps, "locality_report")
+
+
+def _report(t: BoxTable, eps: float, caller: str) -> LocalityReport:
+    """The report of every public analysis; a wrong input's error names ``caller``."""
+    ns, cd, oi, factorizable = _verdicts(_check_type(t, BoxTable, caller).p, _check_eps(eps))
     return LocalityReport(ns, oi, ns, factorizable if ns.holds else ns, cd)

@@ -14,17 +14,15 @@ w >> 11 >= k with k = ceil(c * 2**53) clipped to [0, 2**53].
 Boxes and models share one draw on their completion: weights w over
 lambda and a box P_lambda per lambda (a box has one lambda).  It is an
 inverse CDF over the (lambda, a, b) segments of [0, 1), of widths
-w_lambda P_lambda(a, b | x, y), indexed by the number of interior
-boundaries c with u >= c.  Lambda spans [W_(lambda-1), W_lambda) for its
-cumulative weight W clipped to [0, 1], the last lambda up to 1 even where
-p0 + p1 < 1, and its cells split that span by their cumulative sums
-(negative entries clipped to 0).  The
-boundaries never decrease, so counts tally #(w >> 11 >= k) in one pass
-per distinct threshold, and in none for k = 0 (every word passes) or
-2**53 (no word does), then take segment counts as differences, labelling
-no trial; records index the 48 shared frozen records by segment.  A
-record formats its own CSV line on first use and keeps it, so the shared
-records format once per process and ``records_to_csv`` only joins lines.
+w_lambda P_lambda(a, b | x, y): lambda spans [W_(lambda-1), W_lambda) for
+its cumulative weight W clipped to [0, 1], the last lambda up to 1 even
+where p0 + p1 < 1, and its cells split that span by their cumulative sums
+(negative entries clipped to 0).  Only the nonempty segments are drawn,
+those whose threshold k is above the one before; a trial lands in segment
+j when w >> 11 >= k at j of their interior boundaries.  Counts tally
+#(w >> 11 >= k) in one pass per boundary and take segment counts as
+differences, labelling no trial; records index the 48 shared frozen
+records by segment, which format their CSV lines once per process.
 Counts and records are two views of the same draw, so identical (input,
 trials, seed) yield identical tables and records.
 """
@@ -144,8 +142,9 @@ _RECORDS = np.array(
 
 
 def _draw(obj: BoxTable | HVModel, trials: int, seed: int) -> Iterator[tuple]:
-    """Per setting pair in ``SETTING_PAIRS`` order: (uint64 thresholds k of
-    the interior boundaries, shared records of the segments, chunks of raw
+    """Per setting pair in ``SETTING_PAIRS`` order, of its nonempty segments:
+    (uint64 thresholds k of the interior boundaries, strictly rising inside
+    (0, 2**53); each segment's cell 2a + b; its shared record; chunks of raw
     words).  The pairs re-key one generator, so a caller reads each pair's
     chunks before it asks for the next pair."""
     key = _check_seed(seed) % 2**64
@@ -158,32 +157,32 @@ def _draw(obj: BoxTable | HVModel, trials: int, seed: int) -> Iterator[tuple]:
     cum = (math.ceil(min(max(c, 0.0), 1.0) * _ONE) for c in accumulate(weights.tolist()[:-1]))
     hi = [*accumulate(cum, max), _ONE]
     lo, hi = np.array([[0, *hi[:-1]], hi], dtype=float)[:, :, None, None]
-    # per pair, the (lambda, a, b) boundaries; the last is 1, above every u, so it is left out
-    ks = (lo + np.ceil((hi - lo) * cdf)).transpose(1, 0, 2).reshape(4, 4 * n)[:, :-1]
-    ks, shared = ks.astype(np.uint64), (_RECORDS[:, :4] if n == 1 else _RECORDS[:, 4:])
+    # per pair, the upper boundary of each (lambda, a, b) segment, the last at 2**53
+    ends = (lo + np.ceil((hi - lo) * cdf)).astype(np.uint64).transpose(1, 0, 2).reshape(4, -1)
+    shared = _RECORDS[:, :4] if n == 1 else _RECORDS[:, 4:]
     philox = np.random.Philox(key=key)  # fresh OS entropy once per call, not per pair
     state = philox.state
-    for pair in range(4):
+    for pair, row in enumerate(ends.tolist()):
+        # the nonempty segments, each ending above the one before; the last ends at 2**53
+        kept = [j for j, (before, k) in enumerate(zip([0, *row], row)) if k > before]
         state["state"]["key"][1] = pair  # Philox(key=[key, pair]): counter 0, buffer empty
         philox.state = state
         sizes = (min(_CHUNK, trials - i) for i in range(0, trials, _CHUNK))
-        yield ks[pair], shared[pair], map(philox.random_raw, sizes)
+        ks, cells = ends[pair].take(kept[:-1]), [j % 4 for j in kept]
+        yield ks, cells, shared[pair].take(kept), map(philox.random_raw, sizes)
 
 
 def _counts(obj: BoxTable | HVModel, trials: int, seed: int) -> EmpiricalTable:
     trials = int(_check_count(trials, "trials_per_setting"))
-    counts: list[int] = []  # flat (x, y, a, b): pairs come in SETTING_PAIRS order
-    for ks, _, chunks in _draw(obj, trials, seed):
-        ks = ks.tolist()
-        # #(w >> 11 >= k) in one pass per distinct k; every word passes 0, none 2**53
-        inner = {k: 0 for k in ks if 0 < k < _ONE}
+    counts = [0] * 16  # flat (x, y, a, b): pairs come in SETTING_PAIRS order
+    for pair, (ks, cells, _, chunks) in enumerate(_draw(obj, trials, seed)):
+        ks, tails = ks.tolist(), [0] * len(ks)  # #(w >> 11 >= k), one pass per boundary
         for w in chunks:
-            for k in inner:
-                inner[k] += int(np.count_nonzero(w >= k << 11))
-        tails = {0: trials, _ONE: 0, **inner}
-        ends = [trials, *map(tails.get, ks), 0]
-        # segment j = 4 * lambda + cell holds ends[j] - ends[j + 1]; a cell sums its lambdas
-        counts += [sum(ends[cell::4]) - sum(ends[cell + 1::4]) for cell in range(4)]
+            for i, k in enumerate(ks):
+                tails[i] += int(np.count_nonzero(w >= k << 11))
+        ends = [trials, *tails, 0]  # segment i holds ends[i] - ends[i + 1]
+        for cell, above, below in zip(cells, ends, ends[1:]):
+            counts[4 * pair + cell] += above - below
     table = np.array(counts, dtype=np.int64).reshape(2, 2, 2, 2)
     return EmpiricalTable(table, np.full((2, 2), trials), seed)
 
@@ -191,7 +190,7 @@ def _counts(obj: BoxTable | HVModel, trials: int, seed: int) -> EmpiricalTable:
 def _records(obj: BoxTable | HVModel, trials: int, seed: int) -> list[SampleRecord]:
     trials = int(_check_count(trials, "trials_per_setting"))
     records: list[SampleRecord] = []
-    for ks, shared, chunks in _draw(obj, trials, seed):
+    for ks, _, shared, chunks in _draw(obj, trials, seed):
         for w in chunks:  # side="right" counts the thresholds k <= w >> 11
             records += shared[np.searchsorted(ks, w >> 11, side="right")].tolist()
     return records

@@ -12,14 +12,22 @@ from prbox import (
     HVModel,
     LambdaDist,
     SweepPoint,
+    bell_factorizable,
     chsh_value,
+    conditional,
+    conditional_b,
+    conditioned_dependence,
     convex_mix,
     correlation,
     hv_dependence,
     hv_to_box,
     lambda_sweep,
     locality_report,
+    marginal_a,
+    marginal_b,
     no_signaling,
+    outcome_independence,
+    parameter_independence,
     pr_box,
     pr_constraint_holds,
     pr_hv_model,
@@ -27,6 +35,7 @@ from prbox import (
     sample_hv,
     sample_hv_records,
     truth_table,
+    to_json,
     truth_table_csv,
     validate,
 )
@@ -259,6 +268,19 @@ class TestBoxReadersTakeABox:
         "validate": validate,
         # a model among the components is refused, not only the first
         "convex_mix": lambda m: convex_mix([pr_box(), m], [0.5, 0.5]),
+        "correlation": lambda m: correlation(m, 1, 1),
+        "pr_constraint_holds": pr_constraint_holds,
+        "marginal_a": lambda m: marginal_a(m, 0, 1, 0),
+        "marginal_b": lambda m: marginal_b(m, 0, 1, 0),
+        "conditional": lambda m: conditional(m, 0, 1, 0, 1),
+        "conditional_b": lambda m: conditional_b(m, 0, 1, 0, 1),
+        "to_json": to_json,
+        # each single check names itself, not the report it reads
+        "no_signaling": no_signaling,
+        "outcome_independence": outcome_independence,
+        "parameter_independence": parameter_independence,
+        "bell_factorizable": bell_factorizable,
+        "conditioned_dependence": conditioned_dependence,
     }
 
     @pytest.mark.parametrize("name", READERS)

@@ -1,5 +1,7 @@
 import copy
 import dataclasses
+import hashlib
+import json
 import math
 import pickle
 import tracemalloc
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prbox import (
+    OPTIMAL_CHSH_ANGLES,
     BoxTable,
     EmpiricalTable,
     HVModel,
@@ -17,6 +20,7 @@ from prbox import (
     LambdaDist,
     all_deterministic_boxes,
     compare,
+    convex_mix,
     deterministic_local_box,
     empirical_chsh,
     hv_to_box,
@@ -27,6 +31,7 @@ from prbox import (
     sample_box_records,
     sample_hv,
     sample_hv_records,
+    singlet_box,
     uniform_box,
 )
 from prbox import sampler
@@ -607,6 +612,84 @@ class TestChunking:
                 with monkeypatch.context() as patch:
                     patch.setattr(sampler, "_CHUNK", chunk)
                     assert _views(obj, trials, seed) == expected, (obj.label, trials)
+
+
+GOLDEN_INPUTS = {
+    "pr": pr_box(),
+    "singlet": singlet_box(OPTIMAL_CHSH_ANGLES),
+    "local16": convex_mix(all_deterministic_boxes(), np.arange(1, 17) / 136, label="local16"),
+    **{f"hv{p0}": pr_hv_model(LambdaDist.from_p0(p0)) for p0 in (0.0, 0.37, 1.0)},
+}
+# SHA-256 of the counts JSON and of the records CSV of every run at these
+# trials and seeds, in this order, made with numpy 2.4.6
+GOLDEN_DIGESTS = {
+    "pr": ("e0335c03f76577444e4206bb2a32842001d0fca7893f4462e12cfa19da28f551",
+           "4660ac37efc076b4c77955034a8e4e30acd29c346648a11a02644771b6ce8b1e"),
+    "singlet": ("9c2b253a15d780c42f1e2780a9797fe1cf5a87708e6f5778265812dec99fd62b",
+                "288e5759daf3417e22193faf4a33b74bad2b094659a80d2b4abbdd99fcbd1c07"),
+    "local16": ("60311b1fb3fc4d2ef81402f21cbe4c13f03085ac10b4e6fe68d54bdf2389daf5",
+                "12461b65c4d38a861d06d0b814c33489b0945b36899f047145f567759082098f"),
+    "hv0.0": ("20d2c962adbad8a9965b45bd427ed0dc69900285c3aedca5664d089af8be0b13",
+              "35200adceede81bd88946bc5397d0e21ac86825cef5101726cd40e9663b2fa11"),
+    "hv0.37": ("e3faf0deb37121c6a0aa6983cdf0ab50a0e51e1b304ecf9146c9e3a61482d043",
+               "8a659db3db21ff72f243bad089c2e1e8df691dfb634356a4a9fbb998341984af"),
+    "hv1.0": ("0c6a7183802a3eb3de3b6f2c730aa4ff28abc6172aa7bff88d5f3e6941cd9223",
+              "33e585af0346d457b007a2ddfcdf7cd9e33e26444f46db27c9c9274d9e1d4c8e"),
+}
+GOLDEN_RUNS = [(trials, seed) for trials in (1, 10, CHUNK, CHUNK + 1) for seed in (0, 2**64 + 3)]
+
+
+class TestGoldenDigests:
+    """Counts and records keep their bytes, at one, a few, one chunk and one
+    chunk plus one trial."""
+
+    @pytest.mark.parametrize("name", GOLDEN_INPUTS)
+    def test_counts_and_records_keep_their_bytes(self, name):
+        obj, model = GOLDEN_INPUTS[name], isinstance(GOLDEN_INPUTS[name], HVModel)
+        counts, records = hashlib.sha256(), hashlib.sha256()
+        for trials, seed in GOLDEN_RUNS:
+            table = (sample_hv if model else sample_box)(obj, trials, seed)
+            counts.update(json.dumps(table.counts.tolist()).encode())
+            got = (sample_hv_records if model else sample_box_records)(obj, trials, seed)
+            records.update(records_to_csv(got).encode())
+        assert (counts.hexdigest(), records.hexdigest()) == GOLDEN_DIGESTS[name]
+
+
+class TestDrawSegments:
+    """``_draw`` keeps only the nonempty (lambda, a, b) segments of each
+    setting pair: their interior boundaries rise strictly inside (0, 2**53)."""
+
+    @staticmethod
+    def segments(obj):
+        rows = []
+        for ks, cells, records, _ in sampler._draw(obj, 1, SEED):
+            ks = ks.tolist()
+            assert ks == sorted(set(ks)) and all(0 < k < 2**53 for k in ks)
+            assert len(cells) == len(records) == len(ks) + 1
+            assert cells == [2 * r.a + r.b for r in records]
+            rows.append(list(records))
+        return rows
+
+    @pytest.mark.parametrize("p0", [0.0, 0.37, 1.0, 1 + 1e-10])
+    @pytest.mark.parametrize("canonical", [True, False])
+    def test_a_model_has_one_segment_per_lambda_of_positive_weight(self, p0, canonical):
+        model = _model(p0, canonical)
+        lambdas = [lam for lam, w in enumerate((model.dist.p0, model.dist.p1)) if w > 0]
+        for (x, y), records in zip(SETTING_PAIRS, self.segments(model)):
+            assert records == [
+                SampleRecord(x, y, model.respond_a(x, y, lam), model.respond_b(x, y, lam), lam)
+                for lam in lambdas
+            ]
+
+    @pytest.mark.parametrize("box", all_deterministic_boxes(), ids=lambda t: t.label)
+    def test_a_deterministic_box_has_no_boundary(self, box):
+        for (x, y), records in zip(SETTING_PAIRS, self.segments(box)):
+            (a, b), = zip(*np.nonzero(box.p[x, y]))
+            assert records == [SampleRecord(x, y, int(a), int(b))]
+
+    def test_the_pr_box_has_one_boundary_per_pair(self):
+        for (x, y), records in zip(SETTING_PAIRS, self.segments(pr_box())):
+            assert [(r.a, r.b) for r in records] == [(0, x * y), (1, 1 - x * y)]
 
 
 class TestBoundedMemory:
