@@ -105,12 +105,9 @@ def _check_count(values: object, name: str, least: int = 1) -> np.ndarray:
     raw = np.asarray(values)
     if raw.dtype.kind in "bc":
         raise ValueError(f"{name} must be integers, got {values!r}")
-    try:
-        if raw.dtype.kind != "f":
+    try:  # a float cast warns at NaN, inf or out of range; the checks below refuse those
+        with np.errstate(invalid="ignore"):
             cast = raw.astype(np.int64)
-        else:  # only a float cast warns (NaN, inf, out of range); the checks below refuse it
-            with np.errstate(invalid="ignore"):
-                cast = raw.astype(np.int64)
     except OverflowError:
         raise ValueError(f"{name} must be int64 integers, got {values!r}") from None
     except (TypeError, ValueError):  # a string int() cannot parse, None, an object
@@ -404,15 +401,8 @@ def _off_support(p: np.ndarray, eps: float) -> np.ndarray:
     return ((p > eps) & ~_PR_SUPPORT).any((-4, -3, -2, -1))
 
 
-# json.dumps(t.to_dict(), indent=2) with each entry a %s slot: the C encoder writes
-# the label and the 16 floats as the indented encoder would.
-_JSON = json.dumps({"label": "%s", "p": [[[["%s"] * 2] * 2] * 2] * 2}, indent=2)
-_JSON = _JSON.replace('"%s"', "%s")
-
-
 def to_json(t: BoxTable) -> str:
-    t = _check_type(t, BoxTable, "to_json")
-    return _JSON % (json.dumps(t.label), *json.dumps(t.p.ravel().tolist())[1:-1].split(", "))
+    return json.dumps(_check_type(t, BoxTable, "to_json").to_dict(), indent=2)
 
 
 def from_json(text: str, eps: float = DEFAULT_EPS) -> BoxTable:

@@ -93,6 +93,11 @@ class ClassicalBoundCertificate:
     argmax_label: str
 
 
+# frozen, so it is computed once, at import, and every call shares it
+_ABS_S = np.abs(_chsh_s(_DETERMINISTIC_TABLES)[1]).tolist()
+_CERTIFICATE = ClassicalBoundCertificate(max(_ABS_S), _DETERMINISTIC_LABELS[np.argmax(_ABS_S)])
+
+
 def classical_bound_certificate() -> ClassicalBoundCertificate:
     """Exhaustively certify the deterministic-strategy bound.
 
@@ -101,6 +106,4 @@ def classical_bound_certificate() -> ClassicalBoundCertificate:
     exactly +2 or -2, so the maximum is 2; mixtures cannot exceed it by
     linearity of s.
     """
-    s = np.abs(_chsh_s(_DETERMINISTIC_TABLES)[1])
-    k = int(np.argmax(s))
-    return ClassicalBoundCertificate(float(s[k]), _DETERMINISTIC_LABELS[k])
+    return _CERTIFICATE

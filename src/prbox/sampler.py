@@ -3,8 +3,9 @@
 Reproducibility contract: streams come from the Philox 4x64 counter-based
 generator (numpy's implementation of the published algorithm), keyed by
 (seed mod 2**64, setting-pair index 2x + y) for an int seed.  Each setting
-pair owns an independent stream, so per-pair sampling may run concurrently
-and still reproduce the sequential result bit for bit.  One trial consumes
+pair's chunks come from their own generator, opened by that key, so the
+pairs may be read in any order, or concurrently, and still reproduce the
+sequential result bit for bit.  One trial consumes
 one raw 64-bit word w, read in chunks of ``_CHUNK`` so memory stays
 bounded; Philox output does not depend on how it is split into calls.
 numpy's ``Generator.random`` maps that word to the double
@@ -145,8 +146,7 @@ def _draw(obj: BoxTable | HVModel, trials: int, seed: int) -> Iterator[tuple]:
     """Per setting pair in ``SETTING_PAIRS`` order, of its nonempty segments:
     (uint64 thresholds k of the interior boundaries, strictly rising inside
     (0, 2**53); each segment's cell 2a + b; its shared record; chunks of raw
-    words).  The pairs re-key one generator, so a caller reads each pair's
-    chunks before it asks for the next pair."""
+    words from the pair's own generator, so pairs may be read in any order)."""
     key = _check_seed(seed) % 2**64
     weights, boxes = _completion(obj)
     n = len(weights)
@@ -160,13 +160,10 @@ def _draw(obj: BoxTable | HVModel, trials: int, seed: int) -> Iterator[tuple]:
     # per pair, the upper boundary of each (lambda, a, b) segment, the last at 2**53
     ends = (lo + np.ceil((hi - lo) * cdf)).astype(np.uint64).transpose(1, 0, 2).reshape(4, -1)
     shared = _RECORDS[:, :4] if n == 1 else _RECORDS[:, 4:]
-    philox = np.random.Philox(key=key)  # fresh OS entropy once per call, not per pair
-    state = philox.state
     for pair, row in enumerate(ends.tolist()):
         # the nonempty segments, each ending above the one before; the last ends at 2**53
         kept = [j for j, (before, k) in enumerate(zip([0, *row], row)) if k > before]
-        state["state"]["key"][1] = pair  # Philox(key=[key, pair]): counter 0, buffer empty
-        philox.state = state
+        philox = np.random.Philox(key=np.array([key, pair], dtype=np.uint64))
         sizes = (min(_CHUNK, trials - i) for i in range(0, trials, _CHUNK))
         ks, cells = ends[pair].take(kept[:-1]), [j % 4 for j in kept]
         yield ks, cells, shared[pair].take(kept), map(philox.random_raw, sizes)

@@ -498,8 +498,8 @@ LABELS = st.text(st.sampled_from('"\\{}%s\n\t\x00\x1f\x7fé☃\U0001f600 ,:[]') 
 
 
 class TestFastPaths:
-    """validate's shared all-clear and to_json's filled template agree with
-    the slow paths they short-cut."""
+    """validate's shared all-clear agrees with the loop it short-cuts, and
+    to_json keeps the bytes of the indented encoder."""
 
     @given(edge_tables())
     @settings(max_examples=300, deadline=None)

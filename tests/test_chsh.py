@@ -9,6 +9,7 @@ from helpers import random_box, random_local_mixture, random_product_box
 from prbox import (
     BoxTable,
     ChshResult,
+    ClassicalBoundCertificate,
     OPTIMAL_CHSH_ANGLES,
     all_deterministic_boxes,
     bell_factorizable,
@@ -133,6 +134,14 @@ class TestClassicalBound:
     def test_certificate_keeps_the_first_maximum(self):
         cert = classical_bound_certificate()
         assert (cert.max_abs_s, cert.argmax_label) == (2.0, "local:0,0,0,0")
+
+    def test_certificate_is_one_shared_object_equal_to_a_fresh_one(self):
+        cert = classical_bound_certificate()
+        assert classical_bound_certificate() is cert
+        values = [abs(chsh_value(box).s) for box in all_deterministic_boxes()]
+        k = values.index(max(values))  # the first maximum
+        fresh = ClassicalBoundCertificate(max(values), all_deterministic_boxes()[k].label)
+        assert cert == fresh == ClassicalBoundCertificate(2.0, "local:0,0,0,0")
 
     def test_every_deterministic_value_is_plus_or_minus_two(self):
         values = []

@@ -428,18 +428,11 @@ PHILOX = np.random.Philox
 
 class CraftedPhilox:
     """Stands in for ``np.random.Philox``: every stream, however keyed,
-    yields ``CRAFTED_WORDS``, and setting the state starts it over."""
+    yields ``CRAFTED_WORDS``."""
 
     def __init__(self, key):
-        self._state, self._next = PHILOX(key=key).state, 0
-
-    @property
-    def state(self):
-        return self._state
-
-    @state.setter
-    def state(self, value):
-        self._state, self._next = value, 0
+        PHILOX(key=key)  # refuses a key the real generator would refuse
+        self._next = 0
 
     def random_raw(self, size):
         self._next += size
@@ -612,6 +605,30 @@ class TestChunking:
                 with monkeypatch.context() as patch:
                     patch.setattr(sampler, "_CHUNK", chunk)
                     assert _views(obj, trials, seed) == expected, (obj.label, trials)
+
+
+def _words(pairs):
+    """Each pair's chunks of ``_draw``, read in the order given, joined."""
+    return [np.concatenate(list(chunks)).tobytes() for *_, chunks in pairs]
+
+
+class TestStreams:
+    """Each setting pair's words come from its own generator, opened by the key
+    (seed mod 2**64, 2x + y), so the pairs may be read in any order."""
+
+    @pytest.mark.parametrize("seed", [0, -5, 2**63, 2**64 + 3, 2**70])
+    @pytest.mark.parametrize("trials", [1, CHUNK, CHUNK + 1])
+    def test_each_pair_reads_its_keyed_philox_stream(self, seed, trials):
+        for pair, words in enumerate(_words(sampler._draw(pr_box(), trials, seed))):
+            key = np.array([seed % 2**64, pair], dtype=np.uint64)
+            assert words == np.random.Philox(key=key).random_raw(trials).tobytes(), pair
+
+    @pytest.mark.parametrize("seed", [0, -5, 2**70])
+    @pytest.mark.parametrize("trials", [1, CHUNK + 1])
+    def test_pairs_read_last_to_first_give_the_same_words(self, seed, trials):
+        in_order = _words(sampler._draw(OTHER_MODEL, trials, seed))
+        backwards = _words(reversed(list(sampler._draw(OTHER_MODEL, trials, seed))))
+        assert backwards[::-1] == in_order
 
 
 GOLDEN_INPUTS = {
