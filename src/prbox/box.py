@@ -337,9 +337,7 @@ def convex_mix(
     if len(boxes) == 0:
         raise ValueError("cannot mix an empty list of boxes")
     if len(boxes) != len(weights):
-        raise ValueError(
-            f"got {len(boxes)} boxes but {len(weights)} weights"
-        )
+        raise ValueError(f"got {len(boxes)} boxes but {len(weights)} weights")
     w = _check_weights(weights, "weights", eps)
     p = np.zeros((2, 2, 2, 2))
     for box, weight in zip(boxes, w):
@@ -351,20 +349,48 @@ def convex_mix(
     return BoxTable(p, label)
 
 
-def _swap(p: np.ndarray) -> np.ndarray:
-    """Party swap x<->y, a<->b of tables (..., 2, 2, 2, 2): B's quantities become A's."""
-    return p.swapaxes(-4, -3).swapaxes(-2, -1)
+def _gathers() -> tuple:
+    """Flat indices for :func:`_quantities`, per (side, x, y, a, b) cell of a table and
+    its party swap: the entry it holds and the other side's marginal it is conditioned
+    on; per (x, y, a, b), the product's factors P(A=a | x, 0) and P(B=b | 0, y)."""
+    flat = np.arange(16).reshape(2, 2, 2, 2)  # [i, j, k, m]: its place in a flat table
+    s, x, y, a, b = np.indices((2, 2, 2, 2, 2)).reshape(5, -1)
+    return (np.where(s == 1, flat[y, x, b, a], flat[x, y, a, b]), flat[1 - s, y, x, b],
+            flat[0, x, 0, a][:16], flat[1, y, 0, b][:16])
+
+
+_STACK, _GIVEN, _FACTOR_A, _FACTOR_B = _gathers()
+
+# The blocks of a row of _quantities, as positions in it; side 1 is the party swap.
+_MA, _P, _PRODUCT = np.arange(48).reshape(3, 2, 2, 2, 2)  # [side, x, y, a], [x, y, a, b] twice
+_C = np.arange(48, 80).reshape(2, 2, 2, 2, 2)  # [side, x, y, a, b]
+
+
+def _quantities(p: np.ndarray, eps: float) -> np.ndarray:
+    """For n tables (..., 2, 2, 2, 2), flat (n, 80): marginals P(A=a | x, y) of
+    tables and party swaps, the tables, products P(A=a | x, 0) P(B=b | 0, y),
+    and conditionals P(A=a | x, y; B=b), NaN if P(B=b | x, y) <= eps."""
+    stack = p.reshape(-1, 16)[:, _STACK]
+    ma = stack.reshape(-1, 16, 2).sum(-1)  # not a + b: numpy sums -0.0 and -0.0 to 0.0
+    given = ma[:, _GIVEN]
+    c = stack / np.where(given > eps, given, np.nan)
+    return np.concatenate((ma, stack[:, :16], ma[:, _FACTOR_A] * ma[:, _FACTOR_B], c), -1)
+
+
+def _read(t: BoxTable, at: int, eps: float = DEFAULT_EPS) -> float | None:
+    """Column ``at`` of ``t``'s :func:`_quantities`; None where it is NaN."""
+    value = float(_quantities(t.p, _check_eps(eps))[0, at])
+    return None if math.isnan(value) else value
 
 
 def marginal_a(t: BoxTable, x: int, y: int, a: int) -> float:
     """P(A=a | x, y), summing the joint table over b."""
-    return float(_check_type(t, BoxTable, "marginal_a").p[_check_bits(x=x, y=y, a=a)].sum())
+    return _read(_check_type(t, BoxTable, "marginal_a"), _MA[(0, *_check_bits(x=x, y=y, a=a))])
 
 
 def marginal_b(t: BoxTable, x: int, y: int, b: int) -> float:
-    """P(B=b | x, y): :func:`marginal_a` of the party-swapped table."""
-    p = _swap(_check_type(t, BoxTable, "marginal_b").p)
-    return marginal_a(BoxTable(p), *_check_bits(y=y, x=x, b=b))
+    """P(B=b | x, y), summing the joint table over a."""
+    return _read(_check_type(t, BoxTable, "marginal_b"), _MA[(1, *_check_bits(y=y, x=x, b=b))])
 
 
 def conditional(
@@ -376,18 +402,17 @@ def conditional(
     probability at most ``eps``; conditioning on an impossible outcome is
     not an error because dependence analyses iterate over all cells.
     """
-    mb = marginal_b(_check_type(t, BoxTable, "conditional"), x, y, b)
-    if mb <= _check_eps(eps):
-        return None
-    return t.prob(x, y, a, b) / mb
+    _check_type(t, BoxTable, "conditional")
+    y, x, b, a = _check_bits(y=y, x=x, b=b, a=a)  # the bits of P(B=b | x, y) first
+    return _read(t, _C[0, x, y, a, b], eps)
 
 
 def conditional_b(
     t: BoxTable, x: int, y: int, a: int, b: int, eps: float = DEFAULT_EPS
 ) -> float | None:
-    """P(B=b | x, y; A=a): :func:`conditional` of the party-swapped table."""
-    p = _swap(_check_type(t, BoxTable, "conditional_b").p)
-    return conditional(BoxTable(p), *_check_bits(y=y, x=x, b=b, a=a), eps)
+    """P(B=b | x, y; A=a) = p(x,y,a,b) / P(A=a | x, y), None as :func:`conditional`."""
+    _check_type(t, BoxTable, "conditional_b")
+    return _read(t, _C[(1, *_check_bits(y=y, x=x, b=b, a=a))], eps)
 
 
 def pr_constraint_holds(t: BoxTable, eps: float = DEFAULT_EPS) -> bool:

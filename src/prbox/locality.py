@@ -45,7 +45,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .box import DEFAULT_EPS, BoxTable, _check_eps, _check_type
+from .box import DEFAULT_EPS, _C, _MA, _P, _PRODUCT, BoxTable, _check_eps, _check_type, _quantities
 
 __all__ = [
     "LocalityReport",
@@ -108,41 +108,13 @@ def _violated(cells: list[int], lhs: list[float], rhs: list[float]) -> Verdict:
     return Verdict(False, tuple(witnesses))
 
 
-def _gathers() -> tuple:
-    """Flat indices for :func:`_quantities`, per (side, x, y, a, b) cell of the
-    stack of a table and its party swap: the table entry it holds and the
-    marginal P(B=b | x, y) it is conditioned on, the other side's marginal;
-    per (x, y, a, b), the product's factors P(A=a | x, 0) and P(B=b | 0, y)."""
-    def flat(i, j, k, m):  # position (i, j, k, m) of a flat (2, 2, 2, 2) table
-        return 8 * i + 4 * j + 2 * k + m
-
-    s, x, y, a, b = np.indices((2, 2, 2, 2, 2)).reshape(5, -1)
-    return (np.where(s == 1, flat(y, x, b, a), flat(x, y, a, b)), flat(1 - s, y, x, b),
-            flat(0, x, 0, a)[:16], flat(1, y, 0, b)[:16])
-
-
-_STACK, _MB, _PRODUCT_A, _PRODUCT_B = _gathers()
-
-
-def _quantities(p: np.ndarray, eps: float) -> np.ndarray:
-    """For n tables (..., 2, 2, 2, 2), flat (n, 80): marginals P(A=a | x, y) of
-    tables and party swaps, the tables, products P(A=a | x, 0) P(B=b | 0, y),
-    and conditionals P(A=a | x, y; B=b), NaN if P(B=b | x, y) <= eps."""
-    stack = p.reshape(-1, 16)[:, _STACK]
-    ma = stack.reshape(-1, 16, 2).sum(-1)  # not a + b: numpy sums -0.0 and -0.0 to 0.0
-    mb = ma[:, _MB]
-    c = stack / np.where(mb > eps, mb, np.nan)
-    return np.concatenate((ma, stack[:, :16], ma[:, _PRODUCT_A] * ma[:, _PRODUCT_B], c), -1)
-
-
 def _plan() -> tuple:
     """No-signaling, conditioned dependence, outcome independence and
     factorizability one after another, each in witness order: (lhs and rhs
     positions in the flat quantities, Witness field templates, check ends)."""
-    ma, p, product, c = np.split(np.arange(80).reshape(5, 2, 2, 2, 2), (1, 2, 3))
-    ma = ma.reshape(2, 2, 2, 2, 1)
-    comparisons = ((ma[:, :, :1], ma[:, :, 1:]), (c[:, :, :1], c[:, :, 1:]),
-                   (c, ma.repeat(2, -1)), (p, product))
+    ma = _MA[..., None]  # (side, x, y, a, b): a marginal's b slot is not compared
+    comparisons = ((ma[:, :, :1], ma[:, :, 1:]), (_C[:, :, :1], _C[:, :, 1:]),
+                   (_C, ma.repeat(2, -1)), (_P[None], _PRODUCT[None]))
     positions, templates, ends = [], [], []
     for lhs, rhs in comparisons:
         cells = np.indices(lhs.shape).reshape(5, -1)  # side, x, y, a, b

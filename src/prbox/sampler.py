@@ -39,7 +39,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .box import BoxTable, _check_count, _check_seed, _check_type
+from .box import DEFAULT_EPS, BoxTable, _check_count, _check_seed, _check_type, _require_valid
 from .chsh import ChshResult, chsh_value
 from .hidden_variable import HVModel, _completion
 
@@ -195,14 +195,16 @@ def _records(obj: BoxTable | HVModel, trials: int, seed: int) -> list[SampleReco
 
 def sample_box(t: BoxTable, trials_per_setting: int, seed: int) -> EmpiricalTable:
     """Draw outcome pairs from the exact table, per setting pair."""
-    return _counts(_check_type(t, BoxTable, "sample_box"), trials_per_setting, seed)
+    t = _require_valid(_check_type(t, BoxTable, "sample_box"), DEFAULT_EPS)
+    return _counts(t, trials_per_setting, seed)
 
 
 def sample_box_records(
     t: BoxTable, trials_per_setting: int, seed: int
 ) -> list[SampleRecord]:
     """Per-trial records for the same stream :func:`sample_box` consumes."""
-    return _records(_check_type(t, BoxTable, "sample_box_records"), trials_per_setting, seed)
+    t = _require_valid(_check_type(t, BoxTable, "sample_box_records"), DEFAULT_EPS)
+    return _records(t, trials_per_setting, seed)
 
 
 def sample_hv(m: HVModel, trials_per_setting: int, seed: int) -> EmpiricalTable:

@@ -373,6 +373,12 @@ class TestConditional:
         for x, y in np.ndindex(2, 2):
             assert conditional(box, x, y, 0, 1 - g[y]) is None
 
+    @pytest.mark.parametrize("read", [conditional, conditional_b])
+    def test_bad_bit_refused_where_undefined(self, read):
+        # P(B=1 | 0, 0) = P(A=1 | 0, 0) = 0: the answer would be None, but a = 5 is no bit
+        with pytest.raises(ValueError, match="^a must be 0 or 1, got 5$"):
+            read(deterministic_local_box((0, 0), (0, 0)), 0, 0, 5, 1)
+
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=80, deadline=None)
     def test_reconstruction_identity(self, seed):
@@ -388,6 +394,47 @@ class TestConditional:
                 assert cb * marginal_a(box, x, y, a) == pytest.approx(
                     box.prob(x, y, a, b), abs=1e-12
                 )
+
+
+def reader_tables():
+    """The constant boxes; a table with -0.0 entries whose conditioning marginals
+    sit exactly at 1e-9; and sparse tables, the constant boxes with ±1e-11 noise."""
+    edge = np.full((2, 2, 2, 2), 0.25)
+    edge[0, 0] = [[1.0 - 1e-9, -0.0], [-0.0, 1e-9]]  # P(A=1) = P(B=1) = 1e-9
+    edge[0, 1] = [[0.5, 0.5], [-0.0, -0.0]]  # P(A=1) from two -0.0
+    edge[1, 1] = [[0.5, 0.5 - 1e-9], [1e-9, -0.0]]
+    rng = np.random.default_rng(11)
+    sparse = [
+        BoxTable(box.p + np.where(rng.random(16) < 0.3, rng.choice([-1e-11, 1e-11], 16), 0.0)
+                 .reshape(2, 2, 2, 2), f"{box.label}+noise")
+        for box in constant_boxes()
+    ]
+    return [*constant_boxes(), BoxTable(edge, "edge"), *sparse]
+
+
+class TestReaderBits:
+    """Each per-cell reader gives the bits of its per-cell formula: a marginal
+    is the sum over the other outcome, a conditional p / P(other | x, y), or
+    None when P(other | x, y) <= eps."""
+
+    @staticmethod
+    def bits(value):
+        return None if value is None else value.hex()
+
+    @pytest.mark.parametrize("box", reader_tables(), ids=lambda box: box.label)
+    def test_readers_equal_the_cell_formula(self, box):
+        p = box.p
+        for x, y, o in np.ndindex(2, 2, 2):
+            assert marginal_a(box, x, y, o).hex() == math.fsum(p[x, y, o, :]).hex()
+            assert marginal_b(box, x, y, o).hex() == math.fsum(p[x, y, :, o]).hex()
+        for eps in (EPS, 1e-3):
+            for x, y, a, b in np.ndindex(2, 2, 2, 2):
+                mb, ma = math.fsum(p[x, y, :, b]), math.fsum(p[x, y, a, :])
+                cell = float(p[x, y, a, b])
+                assert self.bits(conditional(box, x, y, a, b, eps)) == (
+                    (cell / mb).hex() if mb > eps else None)
+                assert self.bits(conditional_b(box, x, y, a, b, eps)) == (
+                    (cell / ma).hex() if ma > eps else None)
 
 
 class TestSerialization:

@@ -320,6 +320,18 @@ class TestExitCodes:
         code, _, _ = run(capsys, "chsh", "--box", f"file:{path}")
         assert code == 3
 
+    def test_sample_validates_a_file_table_at_its_own_eps(self, capsys, tmp_path):
+        # pair (0, 0) sums to 1 + 1e-7: valid at --eps 1e-6, not at the default eps
+        path = tmp_path / "loose.json"
+        data = pr_box().to_dict()
+        data["p"][0][0][0][0] = 0.5 + 1e-7
+        path.write_text(json.dumps(data))
+        argv = ("sample", "--box", f"file:{path}", "--trials", "3", "--seed", "1")
+        assert run(capsys, *argv)[0] == 3
+        for extra in ((), ("--records",)):
+            code, out, _ = run(capsys, *argv, "--eps", "1e-6", *extra)
+            assert (code, out.startswith(("{", "x,y,lambda,a,b"))) == (0, True)
+
     def test_missing_file_is_4(self, capsys, tmp_path):
         code, _, _ = run(capsys, "chsh", "--box", f"file:{tmp_path}/absent.json")
         assert code == 4

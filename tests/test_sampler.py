@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from prbox import (
     OPTIMAL_CHSH_ANGLES,
+    BoxFormatError,
     BoxTable,
     EmpiricalTable,
     HVModel,
@@ -502,7 +503,7 @@ class TestRawWords:
         c, ulp = EDGE_C, 2.0**-53
         rows = [
             [0.0, 5e-324, 0.0, 1.0],  # boundaries 0, 5e-324, 5e-324
-            [np.nextafter(c, 0.0), 0.0, 0.0, 0.5],  # three equal boundaries
+            [np.nextafter(c, 0.0), 0.0, 0.0, 1.0 - np.nextafter(c, 0.0)],  # three equal boundaries
             [c, ulp, 1 - ulp - c - ulp, ulp],  # c, c + 2**-53 and 1 - 2**-53, all exact
             [-1e-10, 1.0, 2.0**-52, 0.0],  # clipped to 0, then 1 and nextafter(1, 2)
         ]
@@ -520,6 +521,27 @@ class TestRawWords:
             got = (sample_hv_records if model else sample_box_records)(obj, trials, SEED)
         assert np.array_equal(table.counts, counts)
         assert got == records
+
+
+class TestInvalidTables:
+    """A finite table that fails validation at the default eps is refused,
+    not sampled as if its entries were a distribution."""
+
+    @pytest.mark.parametrize("sample", [sample_box, sample_box_records])
+    @pytest.mark.parametrize(
+        ("entries", "issue"),
+        [({(0, 0): 0.5}, r"normalization violated at \(x=0, y=0\): sum=2.0"),
+         # one entry below 0, its setting pair still summing to 1
+         ({(1, 0, 1, 1): -0.25, (1, 0, 0, 0): 0.75},
+          r"entry out of \[0, 1\] at \(x=1, y=0, a=1, b=1\): -0.25")],
+        ids=["normalization", "range"],
+    )
+    def test_rejected(self, sample, entries, issue):
+        p = uniform_box().p.copy()
+        for cell, value in entries.items():
+            p[cell] = value
+        with pytest.raises(BoxFormatError, match=f"^table fails validation: {issue}$"):
+            sample(BoxTable(p, "bad"), 1000, 1)
 
 
 class TestNonFiniteTables:
