@@ -323,6 +323,11 @@ def uniform_box() -> BoxTable:
     return _UNIFORM_BOX
 
 
+def _mix(weights: np.ndarray, tables: np.ndarray) -> np.ndarray:
+    """Per weight row ``(..., l)``, the sum in l order of weight times table ``(l, 2, 2, 2, 2)``."""
+    return np.einsum("...l,lxyab->...xyab", weights, tables)
+
+
 def convex_mix(
     boxes: Sequence[BoxTable],
     weights: Sequence[float],
@@ -339,13 +344,10 @@ def convex_mix(
     if len(boxes) != len(weights):
         raise ValueError(f"got {len(boxes)} boxes but {len(weights)} weights")
     w = _check_weights(weights, "weights", eps)
-    p = np.zeros((2, 2, 2, 2))
-    for box, weight in zip(boxes, w):
-        p += weight * _check_type(box, BoxTable, "convex_mix").p
+    p = _mix(w, np.array([_check_type(box, BoxTable, "convex_mix").p for box in boxes]))
     if label is None:
-        label = "mix(" + "+".join(
-            f"{box.label or 'box'}@{weight:g}" for box, weight in zip(boxes, w)
-        ) + ")"
+        parts = (f"{box.label or 'box'}@{weight:g}" for box, weight in zip(boxes, w))
+        label = "mix(" + "+".join(parts) + ")"
     return BoxTable(p, label)
 
 

@@ -1,9 +1,9 @@
 """Signed correlations and the CHSH combination.
 
 Outcomes map to signs via a' = 1 - 2a (0 to +1, 1 to -1).  The combination
-is fixed as s = E(0,0) + E(0,1) + E(1,0) - E(1,1): of the eight
-sign-symmetric CHSH forms, the one with the minus on the (1,1) term.
-``chsh_value`` returns the signed s; compare ``abs(s)`` against bounds
+is fixed as s = E(0,0) + E(0,1) + E(1,0) - E(1,1), written once, in ``_form``:
+of the eight sign-symmetric CHSH forms, the one with the minus on the (1,1)
+term.  ``chsh_value`` returns the signed s; compare ``abs(s)`` against bounds
 (2 for local models, 2*sqrt(2) for the singlet, 4 algebraically).
 """
 
@@ -56,7 +56,7 @@ class ChshResult:
         for name in ("e00", "e01", "e10", "e11"):
             if not abs(getattr(self, name)) <= 1.0 + DEFAULT_EPS:
                 raise ValueError(f"{name} out of [-1, 1]: {getattr(self, name)}")
-        expected = self.e00 + self.e01 + self.e10 - self.e11
+        expected = _form(((self.e00, self.e01), (self.e10, self.e11)))
         if not abs(self.s - expected) <= DEFAULT_EPS:
             raise ValueError(f"s={self.s} inconsistent with correlations ({expected})")
 
@@ -72,6 +72,11 @@ def correlation(t: BoxTable, x: int, y: int) -> float:
     return float(_chsh_s(p)[0][x, y])
 
 
+def _form(e):
+    """E00 + E01 + E10 - E11, added in that order, of any ``e[x][y]``: floats, tuples, arrays."""
+    return e[0][0] + e[0][1] + e[1][0] - e[1][1]
+
+
 def _chsh_s(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Correlations E ``(2, 2, ...)`` and s ``(...)`` of tables ``(..., 2, 2, 2, 2)``.
 
@@ -79,7 +84,7 @@ def _chsh_s(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     not a 0-d array, which keeps the one-table case of ``chsh_value`` cheap.
     """
     e = np.einsum("...xyab,ab->xy...", p, _SIGN_PRODUCTS)
-    return e, e[0, 0] + e[0, 1] + e[1, 0] - e[1, 1]
+    return e, _form(e)
 
 
 def chsh_value(t: BoxTable) -> ChshResult:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .box import (
     _CELL_TABLES, DEFAULT_EPS, BoxTable, _check_bit, _check_eps, _check_type, _check_weights,
-    _off_support,
+    _mix, _off_support,
 )
 from .chsh import _chsh_s
 from .locality import Verdict, _verdicts
@@ -84,6 +84,7 @@ class HVModel:
     responses: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        _check_type(self.dist, LambdaDist, "HVModel")
         responses = np.empty((2, 2, 2, 2), dtype=np.int64)
         for x, y, lam in np.ndindex(2, 2, 2):
             for party, name in enumerate(("respond_a", "respond_b")):
@@ -132,8 +133,7 @@ def _completion(obj: BoxTable | HVModel) -> tuple[np.ndarray, np.ndarray]:
 
 def hv_to_box(m: HVModel) -> BoxTable:
     """Marginalize the hidden variable into an observable box table."""
-    weights, boxes = _completion(_check_type(m, HVModel, "hv_to_box"))
-    return BoxTable(np.einsum("l,l...->...", weights, boxes), m.label or "hv")
+    return BoxTable(_mix(*_completion(_check_type(m, HVModel, "hv_to_box"))), m.label or "hv")
 
 
 @dataclass(frozen=True)
@@ -184,8 +184,8 @@ def lambda_sweep(
     """
     eps = _check_eps(eps)
     distributions = list(distributions)  # read twice, so an iterator is read once here
-    weights = np.array([(d.p0, d.p1) for d in distributions]).reshape(-1, 2)
-    family = np.einsum("nl,l...->n...", weights, _completion(pr_hv_model(LambdaDist(0.5, 0.5)))[1])
+    weights = [(_check_type(d, LambdaDist, "lambda_sweep").p0, d.p1) for d in distributions]
+    family = _mix(np.reshape(weights, (-1, 2)), _completion(pr_hv_model(LambdaDist(0.5, 0.5)))[1])
     ns = _verdicts(family, eps, checks=1)  # no-signaling is the plan's first check
     ok = (~_off_support(family, eps)).tolist()
     return list(map(SweepPoint, distributions, _chsh_s(family)[1].tolist(), ns, ok))

@@ -47,8 +47,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .box import BoxTable, _check_count, _check_seed
-from .chsh import _chsh_s
+from .box import BoxTable, _check_count, _check_seed, _check_type
+from .chsh import _chsh_s, _form
 
 __all__ = [
     "OPTIMAL_CHSH_ANGLES",
@@ -107,9 +107,7 @@ def singlet() -> TwoQubitState:
 
 # Attains s = +2*sqrt(2) under the fixed combination E00 + E01 + E10 - E11,
 # since the singlet correlation is -cos(theta_a - theta_b).
-OPTIMAL_CHSH_ANGLES = MeasurementAngles(
-    0.0, math.pi / 2, -3 * math.pi / 4, 3 * math.pi / 4
-)
+OPTIMAL_CHSH_ANGLES = MeasurementAngles(0.0, math.pi / 2, -3 * math.pi / 4, 3 * math.pi / 4)
 
 # The singlet's amplitude r at |01>; the one at |10> is -r, the others 0.
 _R = singlet().amplitudes[1].real
@@ -156,15 +154,13 @@ def _estimate(rows: np.ndarray) -> np.ndarray:
     """
     t = rows.T.astype(np.float32, order="C")  # [a0, a1, b0, b1][row]
     c = t[:2, None] - t[None, 2:]  # [x, y, row]
-    np.cos(c, out=c)
-    s = c[0, 0] + c[0, 1]
-    s += c[1, 0]
-    s -= c[1, 1]
+    s = _form(np.cos(c, out=c))
     return np.abs(s, out=s)
 
 
 def singlet_box(angles: MeasurementAngles) -> BoxTable:
     """Joint outcome table of planar spin measurements on the singlet."""
+    _check_type(angles, MeasurementAngles, "singlet_box")
     theta = (angles.theta_a0, angles.theta_a1, angles.theta_b0, angles.theta_b1)
     label = "singlet:" + ",".join(f"{t:g}" for t in theta)
     return BoxTable(_singlet_tables(np.array([theta], dtype=float))[0], label)

@@ -12,6 +12,7 @@ from helpers import random_box
 from prbox import (
     BoxFormatError,
     BoxTable,
+    HVModel,
     LambdaDist,
     ValidationIssue,
     all_deterministic_boxes,
@@ -20,6 +21,7 @@ from prbox import (
     convex_mix,
     deterministic_local_box,
     from_json,
+    hv_to_box,
     lambda_sweep,
     locality_report,
     marginal_a,
@@ -335,6 +337,27 @@ class TestConvexMix:
         rng = np.random.default_rng(seed)
         mixed = convex_mix([random_box(rng), random_box(rng)], [w, 1.0 - w])
         assert validate(mixed).ok
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 16), st.floats(0.0, 1.0))
+    @settings(max_examples=100, deadline=None)
+    def test_mixture_bits_are_the_running_sum(self, seed, n, p0):
+        # the reference: a running sum over the boxes, in their order
+        rng = np.random.default_rng(seed)
+        boxes = [random_box(rng) for _ in range(n)]
+        w = rng.dirichlet(np.ones(n))
+        p = np.zeros((2, 2, 2, 2))
+        for weight, box in zip(w, boxes):
+            p += weight * box.p
+        assert convex_mix(boxes, w).p.tobytes() == p.tobytes()
+        # a model's lambda-boxes, one-hot at the outcomes its responses give
+        r = rng.integers(0, 2, size=(2, 2, 2, 2))  # [party, x, y, lambda]
+        m = HVModel(lambda x, y, lam: r[0, x, y, lam], lambda x, y, lam: r[1, x, y, lam],
+                    LambdaDist.from_p0(p0))
+        a, b = np.indices((2, 2))
+        lam_boxes = [((a == r[0, ..., lam, None, None]) & (b == r[1, ..., lam, None, None])) * 1.0
+                     for lam in (0, 1)]
+        expected = m.dist.p0 * lam_boxes[0] + m.dist.p1 * lam_boxes[1]
+        assert hv_to_box(m).p.tobytes() == expected.tobytes()
 
 
 class TestMarginals:

@@ -34,6 +34,7 @@ from prbox import (
     sample_box,
     sample_hv,
     sample_hv_records,
+    singlet_box,
     truth_table,
     to_json,
     truth_table_csv,
@@ -288,6 +289,24 @@ class TestBoxReadersTakeABox:
         model = pr_hv_model(LambdaDist.from_p0(0.5))
         with pytest.raises(TypeError, match=f"^{name} takes a BoxTable, got HVModel$"):
             self.READERS[name](model)
+
+
+class TestArgumentsOfTheirKind:
+    """A wrong kind of argument is refused by name, not read until an attribute fails."""
+
+    CALLS = {
+        "singlet_box": (lambda: singlet_box((0.0, 1.0, 2.0, 3.0)), "MeasurementAngles", "tuple"),
+        "HVModel": (lambda: HVModel(lambda x, y, lam: 0, lambda x, y, lam: 0, 0.5),
+                    "LambdaDist", "float"),
+        # every point is checked, not only the first
+        "lambda_sweep": (lambda: lambda_sweep([LambdaDist.from_p0(0.5), 0.5]), "LambdaDist", "float"),
+    }
+
+    @pytest.mark.parametrize("name", CALLS)
+    def test_wrong_kind_rejected(self, name):
+        call, kind, got = self.CALLS[name]
+        with pytest.raises(TypeError, match=f"^{name} takes a {kind}, got {got}$"):
+            call()
 
 
 class TestHvToBox:
