@@ -6,7 +6,8 @@ subcommand's handler on the parsed box or model, emit.  Output is JSON
 except where the data is tabular: table1 writes CSV unless ``--format json``,
 sample counts are JSON unless ``--format csv``, and sample records are CSV
 only, so only table1 and sample take ``--format``.
-Exit codes: 0 success, 2 box-spec grammar error, unknown constructor or
+Exit codes: 0 success, 2 box-spec grammar error (at its position counted from
+the start of the whole spec, mix components included), unknown constructor or
 flag conflict (argparse usage errors also exit 2), 3 semantic validation failure,
 including any NaN or infinite number and an ``--eps`` that is not positive
 and finite, 4 file I/O failure.
@@ -43,7 +44,6 @@ from .box import (
     deterministic_local_box,
     from_json,
     pr_box,
-    to_json,
 )
 from .chsh import chsh_value
 from .hidden_variable import (
@@ -60,13 +60,12 @@ from .quantum import MeasurementAngles, singlet_box
 
 
 class BoxSpecError(ValueError):
-    """An exit-2 error.  A box-spec grammar error carries its reason and the
-    offending position, counted from the start of the whole spec, mix
-    components included; a conflict between flags has no position."""
+    """An exit-2 error.  A box-spec grammar error carries the offending
+    position, counted from the start of the whole spec, mix components
+    included; a conflict between flags has no position."""
 
     def __init__(self, reason: str, position: int | None = None):
         super().__init__(reason if position is None else f"{reason} (at position {position})")
-        self.reason = reason
         self.position = position
 
 
@@ -83,68 +82,64 @@ def _parse_bit(text: str, what: str, position: int) -> int:
     return int(text)
 
 
-def _parts(spec: str, kind: str, sep: str) -> list[tuple[str, int]]:
-    """The ``sep``-separated parts after ``kind:``, each with its position in
-    ``spec``."""
-    parts = spec[len(kind) + 1:].split(sep)
-    starts = accumulate((len(part) + 1 for part in parts), initial=len(kind) + 1)
-    return list(zip(parts, starts))
+def _parts(body: str, at: int, sep: str) -> list[tuple[str, int]]:
+    """The ``sep``-separated parts of ``body``, which starts at position ``at``,
+    each with its own position."""
+    parts = body.split(sep)
+    return list(zip(parts, accumulate((len(part) + 1 for part in parts), initial=at)))
 
 
 def _parse_fields(
-    spec: str, kind: str, noun: str, parse: Callable[[str, str, int], float], what: str
+    body: str, at: int, kind: str, noun: str, parse: Callable[[str, str, int], float], what: str
 ) -> list[float]:
-    """The four comma-separated fields after ``kind:``, each parsed by
-    ``parse`` with its position in ``spec``."""
-    parts = _parts(spec, kind, ",")
+    """The four comma-separated fields of ``kind``'s ``body``, which starts at
+    position ``at``, each parsed by ``parse`` with its own position."""
+    parts = _parts(body, at, ",")
     if len(parts) != 4:
-        body = spec[len(kind) + 1:]
-        raise BoxSpecError(
-            f"{kind} takes four comma-separated {noun}, got {body!r}", len(kind) + 1
-        )
+        raise BoxSpecError(f"{kind} takes four comma-separated {noun}, got {body!r}", at)
     return [parse(part, what, pos) for part, pos in parts]
 
 
 def parse_box_spec(spec: str, eps: float = DEFAULT_EPS) -> BoxTable | HVModel:
     """Parse a box spec; hv specs return the model, everything else a table."""
+    return _parse(spec, eps, 0)
+
+
+def _parse(spec: str, eps: float, at: int) -> BoxTable | HVModel:
+    """``spec``, which starts at position ``at`` of the whole spec, with every
+    grammar error raised at its position in the whole spec."""
+    kind, _, body = spec.partition(":")
+    start = at + len(kind) + 1
     if spec == "pr":
         return pr_box()
     if spec.startswith("local:"):
-        bits = _parse_fields(spec, "local", "bits", _parse_bit, "local response")
+        bits = _parse_fields(body, start, "local", "bits", _parse_bit, "local response")
         return deterministic_local_box(bits[:2], bits[2:])
     if spec.startswith("hv:"):
-        body = spec[len("hv:"):]
         if not body.startswith("p0="):
-            raise BoxSpecError(f"hv takes p0=<real>, got {body!r}", len("hv:"))
-        p0 = _parse_float(body[len("p0="):], "p0", len("hv:p0="))
+            raise BoxSpecError(f"hv takes p0=<real>, got {body!r}", start)
+        p0 = _parse_float(body[len("p0="):], "p0", start + len("p0="))
         return pr_hv_model(LambdaDist.from_p0(p0))
     if spec.startswith("singlet:"):
-        angles = _parse_fields(spec, "singlet", "angles", _parse_float, "angle")
+        angles = _parse_fields(body, start, "singlet", "angles", _parse_float, "angle")
         return singlet_box(MeasurementAngles(*angles))
     if spec.startswith("file:"):
-        path = spec[len("file:"):]
-        if not path:
-            raise BoxSpecError("file takes a path", len("file:"))
-        with open(path, "r", encoding="utf-8") as fh:
+        if not body:
+            raise BoxSpecError("file takes a path", start)
+        with open(body, "r", encoding="utf-8") as fh:
             return from_json(fh.read(), eps)
     if spec.startswith("mix:"):
         boxes, weights = [], []
-        for component, pos in _parts(spec, "mix", "+"):
+        for component, pos in _parts(body, start, "+"):
             if "@" not in component:
-                raise BoxSpecError(
-                    f"mix component needs <spec>@<weight>, got {component!r}", pos
-                )
+                raise BoxSpecError(f"mix component needs <spec>@<weight>, got {component!r}", pos)
             sub, _, weight_text = component.rpartition("@")
             if sub.startswith("mix:"):
                 raise BoxSpecError("mix components cannot nest mix", pos)
-            try:
-                box = parse_box_spec(sub, eps)
-            except BoxSpecError as exc:
-                raise BoxSpecError(exc.reason, pos + exc.position) from None
-            boxes.append(as_box(box))
+            boxes.append(as_box(_parse(sub, eps, pos)))
             weights.append(_parse_float(weight_text, "weight", pos + len(sub) + 1))
         return convex_mix(boxes, weights, eps, label=spec)
-    raise BoxSpecError(f"unknown box spec {spec!r}", 0)
+    raise BoxSpecError(f"unknown box spec {spec!r}", at)
 
 
 def as_box(obj: BoxTable | HVModel) -> BoxTable:
@@ -157,7 +152,7 @@ def _json_dumps(obj: object) -> str:
 
 
 def _cmd_build(args: argparse.Namespace, obj: BoxTable | HVModel) -> str:
-    return to_json(_require_valid(as_box(obj), args.eps)) + "\n"
+    return _json_dumps(_require_valid(as_box(obj), args.eps).to_dict())
 
 
 def _cmd_analyze(args: argparse.Namespace, obj: BoxTable | HVModel) -> str:

@@ -59,7 +59,7 @@ class LambdaDist:
 
     @classmethod
     def from_p0(cls, p0: float) -> LambdaDist:
-        return cls(float(p0), 1.0 - float(p0))
+        return cls(p0, 1.0 - float(p0))
 
     def prob(self, lam: int) -> float:
         return (self.p0, self.p1)[_check_bit(lam, "lambda")]
@@ -100,6 +100,7 @@ def pr_hv_model(dist: LambdaDist) -> HVModel:
     a = (x + lambda) mod 2 ignores y; b = (x + lambda - x*y) mod 2 depends
     on the remote setting x, which is the model's entire nonlocality.
     """
+    _check_type(dist, LambdaDist, "pr_hv_model")
     return HVModel(
         respond_a=lambda x, y, lam: (x + lam) % 2,
         respond_b=lambda x, y, lam: (x + lam - x * y) % 2,

@@ -146,7 +146,7 @@ class TestCommands:
          "mix:pr@0.3+local:1,0,0,1@0.2+hv:p0=0.9@0.5"],
     )
     def test_build_writes_the_indented_dict(self, capsys, spec):
-        # the box JSON writer is to_json; its bytes are those of the indented encoder
+        # the box JSON bytes are those of the indented encoder
         code, out, _ = run(capsys, "build", "--box", spec)
         assert code == 0
         assert out == json.dumps(as_box(parse_box_spec(spec)).to_dict(), indent=2) + "\n"
@@ -265,43 +265,64 @@ def test_parser_surface():
     assert sum(len(options) for *_, options in surface) == 21
 
 
+# Each refused spec with its grammar error; a mix row's position counts from
+# the start of the whole spec.
+FIELD_GRAMMAR_ERRORS = [
+    ("local:0,1,0", "local takes four comma-separated bits, got '0,1,0' (at position 6)"),
+    ("local:0,1,0,1,1", "local takes four comma-separated bits, got '0,1,0,1,1' (at position 6)"),
+    ("local:", "local takes four comma-separated bits, got '' (at position 6)"),
+    ("local:0,2,0,1", "expected 0 or 1 for local response, got '2' (at position 8)"),
+    ("local:0,1,,1", "expected 0 or 1 for local response, got '' (at position 10)"),
+    ("local:1,1,1,01", "expected 0 or 1 for local response, got '01' (at position 12)"),
+    ("singlet:0,1,2", "singlet takes four comma-separated angles, got '0,1,2' (at position 8)"),
+    ("singlet:", "singlet takes four comma-separated angles, got '' (at position 8)"),
+    ("singlet:0,1,2,3,4", "singlet takes four comma-separated angles, got '0,1,2,3,4' (at position 8)"),
+    ("singlet:0,abc,2,3", "expected a number for angle, got 'abc' (at position 10)"),
+    ("singlet:1.5,2,,3", "expected a number for angle, got '' (at position 14)"),
+    ("singlet:0,1,2,3x", "expected a number for angle, got '3x' (at position 14)"),
+    ("mix:pr@0.5+local:0,2,0,0@0.5", "expected 0 or 1 for local response, got '2' (at position 19)"),
+    ("mix:@1", "unknown box spec '' (at position 4)"),
+    ("mix:pr@0.5+nope@0.5", "unknown box spec 'nope' (at position 11)"),
+    ("mix:pr@0.5+hv:q@0.5", "hv takes p0=<real>, got 'q' (at position 14)"),
+    ("mix:pr@0.5+hv:p0=x@0.5", "expected a number for p0, got 'x' (at position 17)"),
+    ("mix:singlet:0,1,2@0.5+pr@0.5", "singlet takes four comma-separated angles, got '0,1,2' (at position 12)"),
+    ("mix:pr@0.5+singlet:0,abc,2,3@0.5", "expected a number for angle, got 'abc' (at position 21)"),
+    ("mix:pr@0.5+file:@0.5", "file takes a path (at position 16)"),
+    ("mix:pr@0.5+pr@x", "expected a number for weight, got 'x' (at position 14)"),
+]
+
+# More refused specs: the components refused inside the mix rows that no row
+# names alone, and specs that are unknown as written.
+MORE_REFUSED_SPECS = ["local:0,2,0,0", "nope", "hv:q", "hv:p0=x", "file:", "", "hv", "local", "pr:"]
+
+
 class TestExitCodes:
     def test_unknown_spec_is_2(self, capsys):
         code, _, err = run(capsys, "chsh", "--box", "what")
         assert code == 2
         assert "unknown box spec" in err
 
-    @pytest.mark.parametrize(
-        "spec, message",
-        [
-            ("local:0,1,0", "local takes four comma-separated bits, got '0,1,0' (at position 6)"),
-            ("local:0,1,0,1,1", "local takes four comma-separated bits, got '0,1,0,1,1' (at position 6)"),
-            ("local:", "local takes four comma-separated bits, got '' (at position 6)"),
-            ("local:0,2,0,1", "expected 0 or 1 for local response, got '2' (at position 8)"),
-            ("local:0,1,,1", "expected 0 or 1 for local response, got '' (at position 10)"),
-            ("local:1,1,1,01", "expected 0 or 1 for local response, got '01' (at position 12)"),
-            ("singlet:0,1,2", "singlet takes four comma-separated angles, got '0,1,2' (at position 8)"),
-            ("singlet:", "singlet takes four comma-separated angles, got '' (at position 8)"),
-            ("singlet:0,1,2,3,4", "singlet takes four comma-separated angles, got '0,1,2,3,4' (at position 8)"),
-            ("singlet:0,abc,2,3", "expected a number for angle, got 'abc' (at position 10)"),
-            ("singlet:1.5,2,,3", "expected a number for angle, got '' (at position 14)"),
-            ("singlet:0,1,2,3x", "expected a number for angle, got '3x' (at position 14)"),
-            ("mix:pr@0.5+local:0,2,0,0@0.5", "expected 0 or 1 for local response, got '2' (at position 19)"),
-            ("mix:@1", "unknown box spec '' (at position 4)"),
-            ("mix:pr@0.5+nope@0.5", "unknown box spec 'nope' (at position 11)"),
-            ("mix:pr@0.5+hv:q@0.5", "hv takes p0=<real>, got 'q' (at position 14)"),
-            ("mix:pr@0.5+hv:p0=x@0.5", "expected a number for p0, got 'x' (at position 17)"),
-            ("mix:singlet:0,1,2@0.5+pr@0.5", "singlet takes four comma-separated angles, got '0,1,2' (at position 12)"),
-            ("mix:pr@0.5+singlet:0,abc,2,3@0.5", "expected a number for angle, got 'abc' (at position 21)"),
-            ("mix:pr@0.5+file:@0.5", "file takes a path (at position 16)"),
-            ("mix:pr@0.5+pr@x", "expected a number for weight, got 'x' (at position 14)"),
-        ],
-    )
+    @pytest.mark.parametrize("spec, message", FIELD_GRAMMAR_ERRORS)
     def test_field_grammar_error_text(self, capsys, spec, message):
         code, out, err = run(capsys, "analyze", "--box", spec)
         assert code == 2
         assert out == ""
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("prefix", ["mix:", "mix:pr@0.5+", "mix:local:0,0,0,0@0.25+pr@0.25+"])
+    @pytest.mark.parametrize(
+        "spec",
+        [spec for spec, _ in FIELD_GRAMMAR_ERRORS if not spec.startswith("mix:")] + MORE_REFUSED_SPECS,
+    )
+    def test_nested_spec_error_is_shifted_by_its_prefix(self, prefix, spec):
+        def grammar_error(text):
+            with pytest.raises(BoxSpecError) as err:
+                parse_box_spec(text)
+            position = err.value.position
+            return str(err.value).removesuffix(f" (at position {position})"), position
+
+        reason, position = grammar_error(spec)
+        assert grammar_error(prefix + spec + "@0.5") == (reason, position + len(prefix))
 
     def test_grammar_error_is_2(self, capsys):
         code, _, _ = run(capsys, "chsh", "--box", "local:0,0,0")

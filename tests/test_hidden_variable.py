@@ -93,6 +93,15 @@ class TestLambdaDist:
         assert dist.p0 == 0.3
         assert dist.p1 == 0.7
 
+    @pytest.mark.parametrize("p0", ["0.5", b"0.5"], ids=["str", "bytes"])
+    def test_from_p0_applies_the_rule_for_a_weight(self, p0):
+        # a weight float() would parse is refused as LambdaDist refuses it
+        with pytest.raises(TypeError) as direct:
+            LambdaDist(p0, 0.5)
+        with pytest.raises(TypeError) as built:
+            LambdaDist.from_p0(p0)
+        assert str(built.value) == str(direct.value)
+
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             LambdaDist(-0.1, 1.1)
@@ -298,6 +307,7 @@ class TestArgumentsOfTheirKind:
         "singlet_box": (lambda: singlet_box((0.0, 1.0, 2.0, 3.0)), "MeasurementAngles", "tuple"),
         "HVModel": (lambda: HVModel(lambda x, y, lam: 0, lambda x, y, lam: 0, 0.5),
                     "LambdaDist", "float"),
+        "pr_hv_model": (lambda: pr_hv_model(0.5), "LambdaDist", "float"),
         # every point is checked, not only the first
         "lambda_sweep": (lambda: lambda_sweep([LambdaDist.from_p0(0.5), 0.5]), "LambdaDist", "float"),
     }

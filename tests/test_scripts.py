@@ -1,5 +1,5 @@
-"""Smoke tests for the experiment scripts: each runs as a subprocess with
-``src`` on the import path and must exit 0."""
+"""Smoke tests for the experiment scripts and the README's library example:
+each runs as a subprocess with ``src`` on the import path and must exit 0."""
 
 import os
 import re
@@ -12,10 +12,10 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_script(name, *args):
+def run_python(*args):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name), *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env=env,
@@ -23,6 +23,10 @@ def run_script(name, *args):
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+def run_script(name, *args):
+    return run_python(str(ROOT / "scripts" / name), *args)
 
 
 def field(text, label):
@@ -66,3 +70,12 @@ def test_lambda_sweep_rows(steps):
         assert status == ("holds" if p0 == "0.5000" else "violated")
         # B's y = 0 marginal moves from p0 to p1 = 1 - p0 when x flips
         assert leak == f"{abs(2 * float(p0) - 1):.6f}"
+
+
+def test_readme_library_example():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (code,) = re.findall(r"^## Library example\n+```python\n(.*?)^```", readme, re.M | re.S)
+    # each print's value is the comment on its line
+    expected = re.findall(r"^print\(.*#\s*(\S+)$", code, re.M)
+    assert expected == ["4.0", "violated", "holds", "4.0"]
+    assert run_python("-c", code).splitlines() == expected
